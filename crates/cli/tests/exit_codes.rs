@@ -543,6 +543,56 @@ fn transport_exit_codes_follow_the_documented_contract() {
     assert_eq!(astats.admitted, 0, "nothing admitted while draining");
 }
 
+/// `fetch --stats` must not hide a broken telemetry scrape: a server
+/// that answers the scrape with the wrong reply kind is a protocol
+/// violation, exit 1 — not a silently skipped section and exit 0.
+#[test]
+fn fetch_stats_surfaces_a_broken_scrape_reply() {
+    use eri_server::protocol::{self, Hello, Message, ReadResponse, WireBlock, WireStats};
+    use std::io::Write as _;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Mock server: serves reads and stats correctly, then answers the
+    // telemetry scrape with a StatsResponse.
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = eri_server::transport::Conn::Tcp(stream);
+        let hello = Hello {
+            version: protocol::PROTO_VERSION,
+            num_blocks: 2,
+            num_subblocks: 4,
+            subblock_size: 16,
+            error_bound: 1e-10,
+        };
+        protocol::write_frame(&mut conn, &Message::Hello(hello)).unwrap();
+        conn.flush().unwrap();
+        while let Ok(msg) = protocol::read_frame(&mut conn) {
+            let reply = match msg {
+                Message::ReadRequest(rq) => Message::ReadResponse(ReadResponse {
+                    request_id: rq.request_id,
+                    blocks: rq.ids.iter().map(|_| WireBlock::Values(vec![0.5; 64])).collect(),
+                }),
+                Message::StatsRequest | Message::TelemetryRequest => {
+                    Message::StatsResponse(WireStats::default())
+                }
+                other => panic!("mock server got {other:?}"),
+            };
+            protocol::write_frame(&mut conn, &reply).unwrap();
+            conn.flush().unwrap();
+        }
+    });
+    let mut out = Vec::new();
+    let err = pastri_cli::run(
+        &sv(&["fetch", &format!("tcp:{addr}"), "--stats", "--retries", "0"]),
+        &mut out,
+    )
+    .unwrap_err();
+    assert_eq!(err.code, 1, "a broken scrape reply is exit 1: {}", err.message);
+    assert!(err.message.contains("StatsResponse"), "{}", err.message);
+    server.join().unwrap();
+}
+
 /// Polls (briefly) until a serve thread has bound its unix socket.
 fn wait_for_path(path: &str) {
     for _ in 0..200 {

@@ -12,6 +12,8 @@
 use std::io::{self, ErrorKind, Read};
 use std::time::Duration;
 
+pub use telemetry::splitmix64;
+
 /// Error kinds treated as transient: routine on congested parallel file
 /// systems, worth retrying rather than failing an SCF iteration.
 #[must_use]
@@ -149,16 +151,6 @@ pub fn read_exact_retry<R: Read + ?Sized>(
         }
     }
     Ok(())
-}
-
-/// splitmix64: the statelesss mixer used across the repo's fault and
-/// workload seeding (same construction as `faults`' internal hasher).
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

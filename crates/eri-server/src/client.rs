@@ -33,7 +33,7 @@ use durable::retry::RetryPolicy;
 use crate::breaker::{Breaker, BreakerConfig, BreakerState, Transition};
 use crate::protocol::{
     self, FrameError, Hello, Message, OverloadReason, ReadRequest, WireBlock, WireStats,
-    MIN_PROTO_VERSION, PROTO_VERSION,
+    PROTO_VERSION,
 };
 pub use crate::protocol::BlockErrorKind;
 use crate::transport::{Conn, Endpoint};
@@ -71,7 +71,7 @@ pub struct ClientConfig {
     /// whose rolling failure window fills is refused traffic for the
     /// cooldown, then probed half-open.
     pub breaker: Option<BreakerConfig>,
-    /// Priority carried on v2 read requests: 0 = sheddable under
+    /// Priority carried on read requests: 0 = sheddable under
     /// estimated queue wait, ≥1 = rides the queue out (still subject
     /// to hard limits).
     pub priority: u8,
@@ -330,13 +330,6 @@ impl RemoteClient {
             .collect()
     }
 
-    /// The protocol version both sides agreed to speak:
-    /// `min(ours, server's)`.
-    #[must_use]
-    pub fn negotiated_version(&self) -> u32 {
-        self.hello.version.min(PROTO_VERSION)
-    }
-
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -401,35 +394,30 @@ impl RemoteClient {
         let rq_ids = ids.to_vec();
         // Advisory deadline for the server's write budget.
         let deadline_ms = u32::try_from(self.cfg.deadline.as_millis()).unwrap_or(u32::MAX);
-        let version = self.negotiated_version();
         let priority = self.cfg.priority;
-        // Trace propagation (v3 peers): every attempt of this logical
-        // request carries the same context — the ambient one when the
-        // caller opened a trace (the CLI does, around a whole fetch),
-        // or a fresh seeded id so nothing on the wire is untraced.
-        let trace = (version >= 3)
-            .then(|| telemetry::current_trace().unwrap_or_else(telemetry::new_trace));
+        // Trace propagation: every attempt of this logical request
+        // carries the same context — the ambient one when the caller
+        // opened a trace (the CLI does, around a whole fetch), or a
+        // fresh seeded id so nothing on the wire is untraced.
+        let trace = telemetry::current_trace().unwrap_or_else(telemetry::new_trace);
         let reply = self.roundtrip(&mut |request_id, remaining| {
             // Deadline propagation: the server sees how much budget
             // this attempt actually has left, so its admission queue
             // can shed instead of serving a reply nobody will wait for.
             let budget_ms = u32::try_from(remaining.as_millis()).unwrap_or(u32::MAX);
-            let rq = ReadRequest { request_id, deadline_ms, budget_ms, priority, ids: rq_ids.clone() };
-            match trace {
-                Some(ctx) => Message::TracedReadRequest(protocol::TracedReadRequest {
-                    request: rq,
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                }),
-                None if version >= 2 => Message::ReadRequestV2(rq),
-                None => Message::ReadRequest(rq),
-            }
+            Message::ReadRequest(ReadRequest {
+                request_id,
+                deadline_ms,
+                budget_ms,
+                priority,
+                trace_id: trace.trace_id,
+                span_id: trace.span_id,
+                ids: rq_ids.clone(),
+            })
         })?;
         let rs = match reply {
             Message::ReadResponse(rs) => rs,
-            other => {
-                return Err(ClientError::Protocol(format!("unexpected reply {:?}", kind_of(&other))))
-            }
+            other => return Err(unexpected_reply(&other)),
         };
         if rs.blocks.len() != ids.len() {
             return Err(ClientError::Protocol(format!(
@@ -462,31 +450,21 @@ impl RemoteClient {
 
     /// Fetches the server's serving/retry/repair counters.
     pub fn server_stats(&mut self) -> Result<WireStats, ClientError> {
-        let v2 = self.negotiated_version() >= 2;
-        let reply = self
-            .roundtrip(&mut |_, _| if v2 { Message::StatsRequestV2 } else { Message::StatsRequest })?;
-        match reply {
-            Message::StatsResponse(s) | Message::StatsResponseV2(s) => Ok(s),
-            other => Err(ClientError::Protocol(format!("unexpected reply {:?}", kind_of(&other)))),
+        match self.roundtrip(&mut |_, _| Message::StatsRequest)? {
+            Message::StatsResponse(s) => Ok(s),
+            other => Err(unexpected_reply(&other)),
         }
     }
 
     /// Scrapes the server's full telemetry snapshot — counters, gauges,
     /// complete histograms, and the event journal — as the line-JSON
     /// export bytes ([`telemetry::export::from_json_lines`] decodes
-    /// them). Requires a v3 peer; the scrape rides admission at
-    /// priority ≥ 1 server-side so it survives overload.
+    /// them). The scrape rides admission at priority ≥ 1 server-side
+    /// so it survives overload.
     pub fn server_telemetry(&mut self) -> Result<Vec<u8>, ClientError> {
-        if self.negotiated_version() < 3 {
-            return Err(ClientError::Protocol(format!(
-                "server speaks protocol v{}; telemetry scrape needs v3",
-                self.negotiated_version()
-            )));
-        }
-        let reply = self.roundtrip(&mut |_, _| Message::TelemetryRequest)?;
-        match reply {
+        match self.roundtrip(&mut |_, _| Message::TelemetryRequest)? {
             Message::TelemetryResponse(bytes) => Ok(bytes),
-            other => Err(ClientError::Protocol(format!("unexpected reply {:?}", kind_of(&other)))),
+            other => Err(unexpected_reply(&other)),
         }
     }
 
@@ -714,21 +692,8 @@ impl RemoteClient {
     }
 }
 
-fn kind_of(msg: &Message) -> &'static str {
-    match msg {
-        Message::Hello(_) => "Hello",
-        Message::ReadRequest(_) => "ReadRequest",
-        Message::ReadRequestV2(_) => "ReadRequestV2",
-        Message::ReadResponse(_) => "ReadResponse",
-        Message::StatsRequest => "StatsRequest",
-        Message::StatsResponse(_) => "StatsResponse",
-        Message::StatsRequestV2 => "StatsRequestV2",
-        Message::StatsResponseV2(_) => "StatsResponseV2",
-        Message::Overloaded(_) => "Overloaded",
-        Message::TracedReadRequest(_) => "TracedReadRequest",
-        Message::TelemetryRequest => "TelemetryRequest",
-        Message::TelemetryResponse(_) => "TelemetryResponse",
-    }
+fn unexpected_reply(msg: &Message) -> ClientError {
+    ClientError::Protocol(format!("unexpected reply {:?}", msg.name()))
 }
 
 /// Connects and runs the handshake: the server speaks first with its
@@ -747,17 +712,16 @@ fn open_conn(
         other => {
             return Err(AttemptError::Protocol(format!(
                 "expected Hello, got {:?}",
-                kind_of(&other)
+                other.name()
             )))
         }
     };
-    // Version negotiation: the server announces the highest version it
-    // speaks; we accept anything in our supported range and then speak
-    // min(ours, theirs) — a v1 server gets only v1 frames from us.
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&hello.version) {
+    // Both ends speak exactly one version: anything else is refused
+    // before a request is sent.
+    if hello.version != PROTO_VERSION {
         return Err(AttemptError::Protocol(format!(
-            "protocol version {} (client speaks {}..={})",
-            hello.version, MIN_PROTO_VERSION, PROTO_VERSION
+            "server speaks protocol v{}, client speaks v{PROTO_VERSION}",
+            hello.version
         )));
     }
     Ok((conn, hello))
@@ -779,5 +743,44 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, ClientError::DeadlineExceeded { .. }), "{err}");
+    }
+
+    #[test]
+    fn any_other_hello_version_is_refused_before_a_request() {
+        for version in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            // Mock server: announce `version`, then count every frame
+            // the client sends until it hangs up.
+            let server = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut conn = Conn::Tcp(stream);
+                let hello = Hello {
+                    version,
+                    num_blocks: 4,
+                    num_subblocks: 1,
+                    subblock_size: 4,
+                    error_bound: 1e-10,
+                };
+                protocol::write_frame(&mut conn, &Message::Hello(hello)).unwrap();
+                conn.flush().unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                let mut frames = 0u32;
+                while protocol::read_frame(&mut conn).is_ok() {
+                    frames += 1;
+                }
+                frames
+            });
+            let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
+            let cfg = ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() };
+            let err = match RemoteClient::connect(&[ep], cfg) {
+                Ok(_) => panic!("v{version} server accepted by a v{PROTO_VERSION} client"),
+                Err(e) => e,
+            };
+            let ClientError::Protocol(msg) = &err else { panic!("want Protocol, got {err}") };
+            assert!(msg.contains(&format!("v{version}")), "{msg}");
+            assert!(msg.contains(&format!("v{PROTO_VERSION}")), "{msg}");
+            assert_eq!(server.join().unwrap(), 0, "no request frame after a version mismatch");
+        }
     }
 }

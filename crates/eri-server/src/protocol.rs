@@ -6,12 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "PTRF"
-//! 4       1     kind (1=Hello 2=ReadRequest 3=ReadResponse
-//!                     4=StatsRequest 5=StatsResponse
-//!                     6=ReadRequestV2 7=Overloaded
-//!                     8=StatsRequestV2 9=StatsResponseV2
-//!                     10=TracedReadRequest 11=TelemetryRequest
-//!                     12=TelemetryResponse)
+//! 4       1     kind, 1..=8 (see the table below)
 //! 5       3     reserved, must be zero
 //! 8       4     payload length, u32 LE (hard cap 64 MiB)
 //! 12      N     payload (kind-specific, little-endian fixed-width)
@@ -30,60 +25,45 @@
 //!
 //! Payload layouts (all integers little-endian):
 //!
-//! * `Hello` (server → client on connect): protocol version `u32`,
-//!   `num_blocks u64`, `num_subblocks u32`, `subblock_size u32`,
-//!   `error_bound f64` (bit pattern). Lets a client check that every
-//!   replica serves the same dataset before reading from it.
-//! * `ReadRequest`: `request_id u64`, `deadline_ms u32`, `count u32`,
-//!   then `count` block ids as `u64`.
-//! * `ReadResponse`: `request_id u64`, `count u32`, then per block a
-//!   `status u8` — `0` followed by `len u32` + `len` f64 bit patterns,
-//!   or an error code followed by `msg_len u32` + UTF-8 message. A bad
-//!   block degrades to its own status byte; the other blocks in the
-//!   response are unaffected.
-//! * `StatsRequest`: empty. `StatsResponse`: the nine v1 [`WireStats`]
-//!   fields in declaration order, each `u64`.
+//! ```text
+//! kind  message            payload
+//! 1     Hello              version u32, num_blocks u64, num_subblocks u32,
+//!                          subblock_size u32, error_bound f64 (bit pattern)
+//! 2     ReadRequest        request_id u64, deadline_ms u32, budget_ms u32,
+//!                          priority u8, trace_id u64, span_id u64,
+//!                          count u32, count × block id u64
+//! 3     ReadResponse       request_id u64, count u32, then per block a
+//!                          status u8: 0 + len u32 + len f64 bit patterns,
+//!                          or an error code + msg_len u32 + UTF-8 message
+//! 4     Overloaded         request_id u64, reason u8, retry_after_ms u32
+//! 5     StatsRequest       empty
+//! 6     StatsResponse      the twelve WireStats fields in order, each u64
+//! 7     TelemetryRequest   empty
+//! 8     TelemetryResponse  telemetry::export::json_lines bytes (opaque)
+//! ```
 //!
-//! Version 2 (negotiated — see below) adds four kinds:
+//! * `Hello` is sent by the server once, on connect. It lets a client
+//!   check that every replica serves the same dataset before reading.
+//! * `ReadRequest` carries the client's *remaining* whole-call budget
+//!   at send time (`budget_ms`, which admission control weighs against
+//!   its queue-wait estimate), a shedding class (`priority`: `0` =
+//!   normal, sheddable; `1` = critical, rides out the queue-wait
+//!   estimate) and the client's [`telemetry::TraceContext`], so the
+//!   server's spans for this request carry the originating trace id. A
+//!   zero `trace_id` means "untraced" and the server adopts nothing.
+//! * A bad block in a `ReadResponse` degrades to its own status byte;
+//!   the other blocks in the response are unaffected.
+//! * `Overloaded`: the server shed a request instead of serving it
+//!   (reason `0` = shed under load, `1` = draining) with a backoff hint.
+//!   Request id 0 is the wildcard for a shed telemetry scrape.
+//! * Telemetry scrapes return a full `telemetry::Snapshot` — counters,
+//!   gauges, 32-bucket histograms, journal events. They are admitted at
+//!   priority 1 so `pastri top` keeps working while the server sheds.
 //!
-//! * `ReadRequestV2`: like `ReadRequest` but with a `budget_ms u32`
-//!   (the client's *remaining* whole-call deadline budget at send time,
-//!   which admission control weighs against its estimated queue wait)
-//!   and a `priority u8` (`0` = normal, sheddable; `1` = critical,
-//!   rides out the queue-wait estimate) between `deadline_ms` and the
-//!   id count.
-//! * `Overloaded`: the server shed a request instead of serving it —
-//!   `request_id u64`, `reason u8` (0 = shed under load, 1 = draining),
-//!   `retry_after_ms u32` (backoff hint). Only ever sent in reply to a
-//!   `ReadRequestV2`; v1 clients get per-block `Io` errors instead.
-//! * `StatsRequestV2`/`StatsResponseV2`: the full [`WireStats`]
-//!   including the admission-control counters (`shed`,
-//!   `refused_draining`, `admitted`).
-//!
-//! Version 3 (negotiated — see below) adds the observability kinds:
-//!
-//! * `TracedReadRequest`: the v2 read layout plus a `trace_id u64` and
-//!   `span_id u64` between `priority` and the id count — the client's
-//!   [`telemetry::TraceContext`] riding with the request, so the
-//!   server's spans for this request carry the originating trace id.
-//!   Semantically identical to `ReadRequestV2` otherwise; a zero
-//!   `trace_id` means "untraced" and the server adopts nothing.
-//! * `TelemetryRequest` (empty) / `TelemetryResponse`: a full
-//!   `telemetry::Snapshot` scrape — counters, gauges, 32-bucket
-//!   histograms, journal events — as the line-JSON bytes produced by
-//!   `telemetry::export::json_lines` (opaque at this layer; the frame
-//!   carries raw bytes). Scrapes are admitted at priority 1 so `pastri
-//!   top` keeps working while the server sheds load.
-//!
-//! **Version negotiation.** The server always speaks first with a
-//! `Hello` carrying [`PROTO_VERSION`]; a client accepts any server
-//! version in `MIN_PROTO_VERSION..=PROTO_VERSION` and then speaks the
-//! *minimum* of the two, so a v2 client never sends v2 kinds to a v1
-//! server. The server infers the peer's version per request from the
-//! kind it used (kind 2 → v1, kind 6 → v2, kinds 10/11 → v3) and never
-//! replies with a kind the peer could not have learned from its own
-//! request — a v1 peer is never sent `Overloaded` or
-//! `StatsResponseV2`, and only v3 peers see `TelemetryResponse`.
+//! **Handshake.** The server always speaks first with a `Hello`
+//! carrying [`PROTO_VERSION`]. A client accepts exactly that version
+//! and rejects any other before it sends a request: every peer speaks
+//! the same single version, with no downgrade path.
 
 use std::io::{self, Read, Write};
 
@@ -91,10 +71,9 @@ use checksum::crc32;
 
 /// Frame magic: "PTRF" (PaSTRI Transport Frame).
 pub const MAGIC: [u8; 4] = *b"PTRF";
-/// Protocol version spoken by this build; carried in `Hello`.
-pub const PROTO_VERSION: u32 = 3;
-/// Oldest peer version this build still interoperates with.
-pub const MIN_PROTO_VERSION: u32 = 1;
+/// Protocol version spoken by this build; carried in `Hello` and
+/// matched exactly by the client.
+pub const PROTO_VERSION: u32 = 4;
 /// Fixed frame header length (magic + kind + reserved + payload len).
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on payload length — reject before allocating.
@@ -106,11 +85,8 @@ pub const MAX_BLOCK_ERROR_MESSAGE: usize = 256;
 
 /// Fixed `ReadResponse` payload overhead: request id (8) + count (4).
 const READ_RESPONSE_OVERHEAD: usize = 12;
-/// Fixed request payload overhead, sized for the widest (v3, traced)
-/// layout: request id (8) + deadline (4) + budget (4) + priority (1) +
-/// trace id (8) + span id (8) + count (4). Batch sizing uses this for
-/// every version so a batch that fits a traced request always fits the
-/// narrower v1/v2 layouts too.
+/// Fixed `ReadRequest` payload overhead: request id (8) + deadline (4)
+/// + budget (4) + priority (1) + trace id (8) + span id (8) + count (4).
 const READ_REQUEST_OVERHEAD: usize = 37;
 
 /// How many block ids one `ReadRequest`/`ReadResponse` exchange can
@@ -264,19 +240,20 @@ pub struct Hello {
 
 /// A batch read: block ids plus the client's deadline (advisory on the
 /// server side — the client enforces its own clock; the server uses it
-/// to size its write timeout).
-///
-/// The v2 fields ride only in `ReadRequestV2` frames: `budget_ms` is
-/// the remaining whole-call budget at send time (what admission
-/// control weighs against its queue-wait estimate) and `priority`
-/// selects the shedding class. A v1 frame decodes with
-/// `budget_ms = deadline_ms` and `priority = 0`.
+/// to size its write timeout). `budget_ms` is the remaining whole-call
+/// budget at send time (what admission control weighs against its
+/// queue-wait estimate) and `priority` selects the shedding class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRequest {
     pub request_id: u64,
     pub deadline_ms: u32,
     pub budget_ms: u32,
     pub priority: u8,
+    /// Cross-process correlation id ([`telemetry::TraceContext::trace_id`]);
+    /// zero means "untraced".
+    pub trace_id: u64,
+    /// Client-side originating span id.
+    pub span_id: u64,
     pub ids: Vec<u64>,
 }
 
@@ -328,18 +305,6 @@ pub struct Overloaded {
     pub retry_after_ms: u32,
 }
 
-/// A v2 read request plus the client's trace context (v3). The ids are
-/// non-zero for a traced request; an all-zero context decodes fine and
-/// simply means "untraced" — the server adopts nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracedReadRequest {
-    pub request: ReadRequest,
-    /// Cross-process correlation id ([`telemetry::TraceContext::trace_id`]).
-    pub trace_id: u64,
-    /// Client-side originating span id.
-    pub span_id: u64,
-}
-
 /// Response to a [`ReadRequest`], one [`WireBlock`] per requested id in
 /// request order.
 #[derive(Debug, Clone, PartialEq)]
@@ -351,9 +316,7 @@ pub struct ReadResponse {
 /// Serving counters over the wire — the transport projection of
 /// `ServerStats` (plus cache hit/miss), so a remote client can assert
 /// the same retry/repair attribution an in-process caller reads from
-/// `ServerHandle::stats`.
-/// The admission-control fields travel only in `StatsResponseV2`; a
-/// v1 `StatsResponse` decodes with them zeroed.
+/// `ServerHandle::stats`, plus the admission-control books.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
     pub requests: u64,
@@ -365,11 +328,11 @@ pub struct WireStats {
     pub blocks_dropped: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Requests shed by admission control (v2 only).
+    /// Requests shed by admission control.
     pub shed: u64,
-    /// Requests refused because the server was draining (v2 only).
+    /// Requests refused because the server was draining.
     pub refused_draining: u64,
-    /// Requests admitted past admission control (v2 only).
+    /// Requests admitted past admission control.
     pub admitted: u64,
 }
 
@@ -379,18 +342,27 @@ pub enum Message {
     Hello(Hello),
     ReadRequest(ReadRequest),
     ReadResponse(ReadResponse),
+    Overloaded(Overloaded),
     StatsRequest,
     StatsResponse(WireStats),
-    ReadRequestV2(ReadRequest),
-    Overloaded(Overloaded),
-    StatsRequestV2,
-    StatsResponseV2(WireStats),
-    TracedReadRequest(TracedReadRequest),
     TelemetryRequest,
     /// Raw `telemetry::export::json_lines` bytes — opaque at this
     /// layer; the client parses them with `from_json_lines`.
     TelemetryResponse(Vec<u8>),
 }
+
+/// Message names indexed by `kind - 1`: the kind table. Kinds are dense
+/// from 1, so a header kind is known iff it indexes this table.
+const KIND_NAMES: [&str; 8] = [
+    "Hello",
+    "ReadRequest",
+    "ReadResponse",
+    "Overloaded",
+    "StatsRequest",
+    "StatsResponse",
+    "TelemetryRequest",
+    "TelemetryResponse",
+];
 
 impl Message {
     fn kind(&self) -> u8 {
@@ -398,16 +370,18 @@ impl Message {
             Message::Hello(_) => 1,
             Message::ReadRequest(_) => 2,
             Message::ReadResponse(_) => 3,
-            Message::StatsRequest => 4,
-            Message::StatsResponse(_) => 5,
-            Message::ReadRequestV2(_) => 6,
-            Message::Overloaded(_) => 7,
-            Message::StatsRequestV2 => 8,
-            Message::StatsResponseV2(_) => 9,
-            Message::TracedReadRequest(_) => 10,
-            Message::TelemetryRequest => 11,
-            Message::TelemetryResponse(_) => 12,
+            Message::Overloaded(_) => 4,
+            Message::StatsRequest => 5,
+            Message::StatsResponse(_) => 6,
+            Message::TelemetryRequest => 7,
+            Message::TelemetryResponse(_) => 8,
         }
+    }
+
+    /// The message's kind name, for diagnostics.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        KIND_NAMES[usize::from(self.kind()) - 1]
     }
 }
 
@@ -428,7 +402,7 @@ impl FrameHeader {
             return Err(FrameError::BadMagic([raw[0], raw[1], raw[2], raw[3]]));
         }
         let kind = raw[4];
-        if !(1..=12).contains(&kind) {
+        if !(1..=KIND_NAMES.len()).contains(&usize::from(kind)) {
             return Err(FrameError::UnknownKind(kind));
         }
         if raw[5..8] != [0, 0, 0] {
@@ -513,19 +487,12 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             p.extend_from_slice(&h.error_bound.to_bits().to_le_bytes());
         }
         Message::ReadRequest(rq) => {
-            // v1 layout: the budget/priority fields stay off the wire.
-            p.extend_from_slice(&rq.request_id.to_le_bytes());
-            p.extend_from_slice(&rq.deadline_ms.to_le_bytes());
-            p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
-            for id in &rq.ids {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-        Message::ReadRequestV2(rq) => {
             p.extend_from_slice(&rq.request_id.to_le_bytes());
             p.extend_from_slice(&rq.deadline_ms.to_le_bytes());
             p.extend_from_slice(&rq.budget_ms.to_le_bytes());
             p.push(rq.priority);
+            p.extend_from_slice(&rq.trace_id.to_le_bytes());
+            p.extend_from_slice(&rq.span_id.to_le_bytes());
             p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
             for id in &rq.ids {
                 p.extend_from_slice(&id.to_le_bytes());
@@ -557,39 +524,11 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
                 }
             }
         }
-        Message::TracedReadRequest(t) => {
-            let rq = &t.request;
-            p.extend_from_slice(&rq.request_id.to_le_bytes());
-            p.extend_from_slice(&rq.deadline_ms.to_le_bytes());
-            p.extend_from_slice(&rq.budget_ms.to_le_bytes());
-            p.push(rq.priority);
-            p.extend_from_slice(&t.trace_id.to_le_bytes());
-            p.extend_from_slice(&t.span_id.to_le_bytes());
-            p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
-            for id in &rq.ids {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
-        }
         Message::TelemetryResponse(bytes) => {
             p.extend_from_slice(bytes);
         }
-        Message::StatsRequest | Message::StatsRequestV2 | Message::TelemetryRequest => {}
+        Message::StatsRequest | Message::TelemetryRequest => {}
         Message::StatsResponse(s) => {
-            for v in [
-                s.requests,
-                s.blocks,
-                s.store_reads,
-                s.transient_retries,
-                s.backoff_us,
-                s.blocks_repaired,
-                s.blocks_dropped,
-                s.cache_hits,
-                s.cache_misses,
-            ] {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Message::StatsResponseV2(s) => {
             for v in [
                 s.requests,
                 s.blocks,
@@ -668,6 +607,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
         2 => {
             let request_id = c.u64()?;
             let deadline_ms = c.u32()?;
+            let budget_ms = c.u32()?;
+            let priority = c.u8()?;
+            let trace_id = c.u64()?;
+            let span_id = c.u64()?;
             let count = c.u32()? as usize;
             // Each id is 8 bytes; the count must fit what's present.
             if count > c.buf.len() / 8 {
@@ -677,12 +620,13 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             for _ in 0..count {
                 ids.push(c.u64()?);
             }
-            // A v1 peer's whole deadline is its budget; normal priority.
             Message::ReadRequest(ReadRequest {
                 request_id,
                 deadline_ms,
-                budget_ms: deadline_ms,
-                priority: 0,
+                budget_ms,
+                priority,
+                trace_id,
+                span_id,
                 ids,
             })
         }
@@ -718,69 +662,15 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             }
             Message::ReadResponse(ReadResponse { request_id, blocks })
         }
-        4 => Message::StatsRequest,
-        5 => Message::StatsResponse(WireStats {
-            requests: c.u64()?,
-            blocks: c.u64()?,
-            store_reads: c.u64()?,
-            transient_retries: c.u64()?,
-            backoff_us: c.u64()?,
-            blocks_repaired: c.u64()?,
-            blocks_dropped: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_misses: c.u64()?,
-            ..WireStats::default()
-        }),
-        6 => {
-            let request_id = c.u64()?;
-            let deadline_ms = c.u32()?;
-            let budget_ms = c.u32()?;
-            let priority = c.u8()?;
-            let count = c.u32()? as usize;
-            if count > c.buf.len() / 8 {
-                return Err(FrameError::Malformed("id count past end of payload"));
-            }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(c.u64()?);
-            }
-            Message::ReadRequestV2(ReadRequest { request_id, deadline_ms, budget_ms, priority, ids })
-        }
-        7 => {
+        4 => {
             let request_id = c.u64()?;
             let reason = OverloadReason::from_code(c.u8()?)
                 .ok_or(FrameError::Malformed("unknown overload reason"))?;
             let retry_after_ms = c.u32()?;
             Message::Overloaded(Overloaded { request_id, reason, retry_after_ms })
         }
-        8 => Message::StatsRequestV2,
-        10 => {
-            let request_id = c.u64()?;
-            let deadline_ms = c.u32()?;
-            let budget_ms = c.u32()?;
-            let priority = c.u8()?;
-            let trace_id = c.u64()?;
-            let span_id = c.u64()?;
-            let count = c.u32()? as usize;
-            if count > c.buf.len() / 8 {
-                return Err(FrameError::Malformed("id count past end of payload"));
-            }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(c.u64()?);
-            }
-            Message::TracedReadRequest(TracedReadRequest {
-                request: ReadRequest { request_id, deadline_ms, budget_ms, priority, ids },
-                trace_id,
-                span_id,
-            })
-        }
-        11 => Message::TelemetryRequest,
-        12 => {
-            let bytes = c.take(c.buf.len())?.to_vec();
-            Message::TelemetryResponse(bytes)
-        }
-        9 => Message::StatsResponseV2(WireStats {
+        5 => Message::StatsRequest,
+        6 => Message::StatsResponse(WireStats {
             requests: c.u64()?,
             blocks: c.u64()?,
             store_reads: c.u64()?,
@@ -794,6 +684,11 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             refused_draining: c.u64()?,
             admitted: c.u64()?,
         }),
+        7 => Message::TelemetryRequest,
+        8 => {
+            let bytes = c.take(c.buf.len())?.to_vec();
+            Message::TelemetryResponse(bytes)
+        }
         _ => return Err(FrameError::UnknownKind(kind)),
     };
     c.done()?;
@@ -821,14 +716,13 @@ mod tests {
                 subblock_size: 16,
                 error_bound: 1e-10,
             }),
-            // v1 requests round-trip only when budget mirrors the
-            // deadline and priority is normal — exactly what a v1
-            // encoder produces and a v1 decode reconstructs.
             Message::ReadRequest(ReadRequest {
                 request_id: 7,
                 deadline_ms: 250,
-                budget_ms: 250,
-                priority: 0,
+                budget_ms: 117,
+                priority: 1,
+                trace_id: 0xdead_beef_cafe_f00d,
+                span_id: 0x1234_5678_9abc_def0,
                 ids: vec![0, 99, 3, 3],
             }),
             Message::ReadRequest(ReadRequest {
@@ -836,14 +730,9 @@ mod tests {
                 deadline_ms: 0,
                 budget_ms: 0,
                 priority: 0,
+                trace_id: 0,
+                span_id: 0,
                 ids: vec![],
-            }),
-            Message::ReadRequestV2(ReadRequest {
-                request_id: 9,
-                deadline_ms: 250,
-                budget_ms: 117,
-                priority: 1,
-                ids: vec![5, 5, 0],
             }),
             Message::Overloaded(Overloaded {
                 request_id: 10,
@@ -855,24 +744,13 @@ mod tests {
                 reason: OverloadReason::Draining,
                 retry_after_ms: 0,
             }),
-            Message::TracedReadRequest(TracedReadRequest {
-                request: ReadRequest {
-                    request_id: 12,
-                    deadline_ms: 250,
-                    budget_ms: 99,
-                    priority: 0,
-                    ids: vec![2, 4, 2],
-                },
-                trace_id: 0xdead_beef_cafe_f00d,
-                span_id: 0x1234_5678_9abc_def0,
-            }),
             Message::TelemetryRequest,
             Message::TelemetryResponse(
                 b"{\"type\":\"meta\",\"version\":2,\"spans_dropped\":0}\n".to_vec(),
             ),
             Message::TelemetryResponse(Vec::new()),
-            Message::StatsRequestV2,
-            Message::StatsResponseV2(WireStats {
+            Message::StatsRequest,
+            Message::StatsResponse(WireStats {
                 requests: 1,
                 blocks: 2,
                 store_reads: 3,
@@ -898,27 +776,20 @@ mod tests {
                     WireBlock::Error { kind: BlockErrorKind::OutOfRange, message: String::new() },
                 ],
             }),
-            Message::StatsRequest,
-            Message::StatsResponse(WireStats {
-                requests: 1,
-                blocks: 2,
-                store_reads: 3,
-                transient_retries: 4,
-                backoff_us: 5,
-                blocks_repaired: 6,
-                blocks_dropped: 7,
-                cache_hits: 8,
-                cache_misses: 9,
-                ..WireStats::default()
-            }),
         ]
     }
 
     #[test]
     fn every_message_round_trips() {
+        let mut kinds = Vec::new();
         for msg in sample_messages() {
             round_trip(&msg);
+            kinds.push(frame_bytes(&msg).unwrap()[4]);
         }
+        // The samples cover the whole kind table.
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, (1..=KIND_NAMES.len() as u8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -926,11 +797,13 @@ mod tests {
         // Flip each bit of a small frame: every mutation must surface
         // as a structured FrameError, never a silently different
         // message or a panic.
-        let msg = Message::ReadRequestV2(ReadRequest {
+        let msg = Message::ReadRequest(ReadRequest {
             request_id: 42,
             deadline_ms: 100,
             budget_ms: 80,
             priority: 0,
+            trace_id: 3,
+            span_id: 4,
             ids: vec![5, 6],
         });
         let clean = frame_bytes(&msg).unwrap();
@@ -982,10 +855,12 @@ mod tests {
             deadline_ms: 1,
             budget_ms: 1,
             priority: 0,
+            trace_id: 0,
+            span_id: 0,
             ids: vec![],
         });
         let mut frame = frame_bytes(&msg).unwrap();
-        let count_off = HEADER_LEN + 8 + 4;
+        let count_off = HEADER_LEN + READ_REQUEST_OVERHEAD - 4;
         frame[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let crc_off = frame.len() - 4;
         let crc = crc32(&frame[..crc_off]);
@@ -1009,6 +884,45 @@ mod tests {
         let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
         frame[4] = 13;
         assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::UnknownKind(13)));
+    }
+
+    #[test]
+    fn kinds_past_the_table_are_unknown() {
+        // Kind 0 and the first unused kind are rejected at the header,
+        // before the CRC or the payload are looked at.
+        for kind in [0, KIND_NAMES.len() as u8 + 1] {
+            let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
+            frame[4] = kind;
+            let crc_off = frame.len() - 4;
+            let crc = crc32(&frame[..crc_off]);
+            frame[crc_off..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::UnknownKind(k) if k == kind),
+                "kind {kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_request_frames_match_the_batch_sizing_overhead() {
+        // max_ids_per_read budgets requests with READ_REQUEST_OVERHEAD;
+        // the encoder must agree byte for byte.
+        for n in [0usize, 1, 7, 300] {
+            let msg = Message::ReadRequest(ReadRequest {
+                request_id: 1,
+                deadline_ms: 2,
+                budget_ms: 3,
+                priority: 1,
+                trace_id: 4,
+                span_id: 5,
+                ids: (0..n as u64).collect(),
+            });
+            assert_eq!(
+                frame_bytes(&msg).unwrap().len(),
+                HEADER_LEN + READ_REQUEST_OVERHEAD + 8 * n + 4,
+                "{n} ids"
+            );
+        }
     }
 
     #[test]
@@ -1045,7 +959,7 @@ mod tests {
             // message, or every slot full values — whichever is wider.
             let per_slot = 5 + (8 * values).max(MAX_BLOCK_ERROR_MESSAGE);
             assert!(12 + n * per_slot <= cap, "values={values} cap={cap} n={n}");
-            // Request side is budgeted for the widest (traced v3) layout.
+            // Request side: the fixed ReadRequest overhead plus 8 per id.
             assert!(37 + n * 8 <= cap, "request side: values={values} cap={cap} n={n}");
             // And n is maximal: one more block would overflow a side.
             assert!(
@@ -1055,47 +969,6 @@ mod tests {
         }
         // A block too large to ever fit one frame yields 0, not a lie.
         assert_eq!(max_ids_per_read(MAX_FRAME_PAYLOAD as usize, usize::MAX), 0);
-    }
-
-    #[test]
-    fn v1_frames_carry_no_v2_fields_and_decode_with_defaults() {
-        // A v2 request downgraded to a v1 frame drops budget/priority
-        // on the wire; decoding reconstructs the v1 defaults. This is
-        // the frame-level contract version negotiation relies on.
-        let rq = ReadRequest {
-            request_id: 3,
-            deadline_ms: 500,
-            budget_ms: 123,
-            priority: 1,
-            ids: vec![1, 2],
-        };
-        let v1 = frame_bytes(&Message::ReadRequest(rq.clone())).unwrap();
-        let v2 = frame_bytes(&Message::ReadRequestV2(rq.clone())).unwrap();
-        assert_eq!(v2.len(), v1.len() + 5, "v2 adds budget (4) + priority (1)");
-        let v3 = frame_bytes(&Message::TracedReadRequest(TracedReadRequest {
-            request: rq,
-            trace_id: 1,
-            span_id: 2,
-        }))
-        .unwrap();
-        assert_eq!(v3.len(), v2.len() + 16, "v3 adds trace id (8) + span id (8)");
-        match read_frame(&mut &v1[..]).unwrap() {
-            Message::ReadRequest(got) => {
-                assert_eq!(got.budget_ms, got.deadline_ms);
-                assert_eq!(got.priority, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // And v1 stats zero the admission counters.
-        let full = WireStats { requests: 7, shed: 9, refused_draining: 2, admitted: 5, ..WireStats::default() };
-        let v1_stats = frame_bytes(&Message::StatsResponse(full)).unwrap();
-        match read_frame(&mut &v1_stats[..]).unwrap() {
-            Message::StatsResponse(got) => {
-                assert_eq!(got.requests, 7);
-                assert_eq!((got.shed, got.refused_draining, got.admitted), (0, 0, 0));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration tests for the overload-control layer (DESIGN §14):
-//! graceful drain books and PTRF version negotiation.
+//! graceful drain books.
 //!
 //! * **Drain, don't drop.** A server with slow (injected-delay)
 //!   handlers is drained while concurrent clients hammer it. The
@@ -7,24 +7,12 @@
 //!   complete) and every response a client *did* receive must be
 //!   byte-identical to the store — an admitted request is never
 //!   dropped or torn, and every refusal is a structured error.
-//! * **v1 peer ↔ v2 server.** A raw client speaking only v1 frames
-//!   (kinds 2/4) gets correct data, v1-kind replies, and — when the
-//!   server sheds — structured per-block `Io` errors instead of the
-//!   v2 `Overloaded` frame it could not parse.
-//! * **v2 client ↔ v1 server.** A `RemoteClient` handshaking with a
-//!   version-1 server must send only v1 request kinds and still
-//!   complete reads and stats calls.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use eri_server::protocol::{
-    self, BlockErrorKind, Hello, Message, ReadRequest, ReadResponse, WireBlock, WireStats,
-    MIN_PROTO_VERSION, PROTO_VERSION,
-};
-use eri_server::transport::{Conn, ServeOptions};
+use eri_server::transport::ServeOptions;
 use eri_server::{
     ClientConfig, Endpoint, InjectedLoad, OverloadInject, RemoteClient, ServerConfig, ServerHandle,
     TransportServer,
@@ -168,185 +156,4 @@ fn drain_books_prove_no_admitted_request_was_dropped() {
     );
     assert!(outcome.stats.admitted > 0, "the storm admitted nothing");
     assert!(ok_reads.load(Ordering::SeqCst) > 0, "no client ever succeeded");
-}
-
-/// A v1-only peer gets v1-kind replies (never `Overloaded` /
-/// `StatsResponseV2`), correct data, and — when shed — structured
-/// per-block `Io` errors carrying the retry hint.
-#[test]
-fn v1_peer_never_sees_v2_frames() {
-    let dir = tmpdir("v1-peer");
-    let store = build_store(&dir);
-
-    // Clean server first: v1 reads and stats round-trip with v1 kinds.
-    let (srv, ep) = bind_server(&store, ServeOptions::default());
-    let server = std::thread::spawn(move || srv.run(Some(1)));
-    let mut conn = Conn::connect(&ep, Duration::from_secs(2)).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let hello = match protocol::read_frame(&mut conn).unwrap() {
-        Message::Hello(h) => h,
-        other => panic!("expected Hello, got {other:?}"),
-    };
-    assert_eq!(hello.version, PROTO_VERSION, "server announces its highest version");
-
-    protocol::write_frame(
-        &mut conn,
-        &Message::ReadRequest(ReadRequest {
-            request_id: 7,
-            deadline_ms: 2_000,
-            budget_ms: 0, // not encoded in a v1 frame
-            priority: 0,  // not encoded in a v1 frame
-            ids: vec![0, 3],
-        }),
-    )
-    .unwrap();
-    match protocol::read_frame(&mut conn).unwrap() {
-        Message::ReadResponse(rr) => {
-            assert_eq!(rr.request_id, 7);
-            assert_eq!(rr.blocks.len(), 2);
-            for (slot, id) in rr.blocks.iter().zip([0usize, 3]) {
-                match slot {
-                    WireBlock::Values(v) => assert_block_close(v, id),
-                    WireBlock::Error { kind, message } => {
-                        panic!("clean block {id} errored: {kind:?} {message}")
-                    }
-                }
-            }
-        }
-        other => panic!("v1 read must get a ReadResponse, got {other:?}"),
-    }
-
-    protocol::write_frame(&mut conn, &Message::StatsRequest).unwrap();
-    match protocol::read_frame(&mut conn).unwrap() {
-        Message::StatsResponse(_) => {}
-        other => panic!("v1 stats must get a v1 StatsResponse, got {other:?}"),
-    }
-    drop(conn);
-    server.join().unwrap().unwrap();
-
-    // Shedding server: the v1 peer must get per-block Io errors with
-    // the retry hint folded into the message — never a kind-7 frame.
-    let opts = ServeOptions {
-        inject: Some(Arc::new(|_key: u64, _attempt: u32| InjectedLoad {
-            shed: true,
-            retry_after: Duration::from_millis(9),
-            delay: Duration::ZERO,
-        }) as Arc<dyn OverloadInject>),
-        ..Default::default()
-    };
-    let (srv, ep) = bind_server(&store, opts);
-    let server = std::thread::spawn(move || srv.run(Some(1)));
-    let mut conn = Conn::connect(&ep, Duration::from_secs(2)).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let Message::Hello(_) = protocol::read_frame(&mut conn).unwrap() else {
-        panic!("expected Hello")
-    };
-    protocol::write_frame(
-        &mut conn,
-        &Message::ReadRequest(ReadRequest {
-            request_id: 8,
-            deadline_ms: 2_000,
-            budget_ms: 0,
-            priority: 0,
-            ids: vec![1, 2],
-        }),
-    )
-    .unwrap();
-    match protocol::read_frame(&mut conn).unwrap() {
-        Message::ReadResponse(rr) => {
-            assert_eq!(rr.request_id, 8);
-            assert_eq!(rr.blocks.len(), 2, "every requested slot answered");
-            let WireBlock::Error { kind, message } = &rr.blocks[0] else {
-                panic!("a shed must surface as a structured per-block error")
-            };
-            assert_eq!(*kind, BlockErrorKind::Io, "shed is availability, not corruption");
-            assert!(
-                message.contains("retry after 9 ms"),
-                "retry hint must survive the v1 downgrade: {message:?}"
-            );
-        }
-        Message::Overloaded(o) => panic!("v1 peer got a v2 Overloaded frame: {o:?}"),
-        other => panic!("unexpected reply {other:?}"),
-    }
-    drop(conn);
-    server.join().unwrap().unwrap();
-}
-
-/// A v2 `RemoteClient` handshaking with a v1 server speaks only v1
-/// request kinds and still completes reads and stats.
-#[test]
-fn v2_client_downgrades_to_a_v1_server() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-
-    // Mock v1 server: one connection, replies to v1 kinds only, and
-    // records any v2 frame kind the client (wrongly) sends.
-    let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut conn = Conn::Tcp(stream);
-        protocol::write_frame(
-            &mut conn,
-            &Message::Hello(Hello {
-                version: 1,
-                num_blocks: 4,
-                num_subblocks: 1,
-                subblock_size: 4,
-                error_bound: 1e-10,
-            }),
-        )
-        .unwrap();
-        conn.flush().unwrap();
-        let mut v2_frames = 0u32;
-        let mut served = 0u32;
-        // Loop ends when the client hangs up and the read errors out.
-        while let Ok(msg) = protocol::read_frame(&mut conn) {
-            match msg {
-                Message::ReadRequest(rq) => {
-                    // A v1 decode carries the deadline as the budget.
-                    assert_eq!(rq.budget_ms, rq.deadline_ms);
-                    assert_eq!(rq.priority, 0);
-                    let blocks = rq
-                        .ids
-                        .iter()
-                        .map(|&id| WireBlock::Values(vec![id as f64 + 0.5; 4]))
-                        .collect();
-                    protocol::write_frame(
-                        &mut conn,
-                        &Message::ReadResponse(ReadResponse { request_id: rq.request_id, blocks }),
-                    )
-                    .unwrap();
-                    served += 1;
-                }
-                Message::StatsRequest => {
-                    protocol::write_frame(
-                        &mut conn,
-                        &Message::StatsResponse(WireStats { requests: 11, ..WireStats::default() }),
-                    )
-                    .unwrap();
-                }
-                Message::ReadRequestV2(_) | Message::StatsRequestV2 => v2_frames += 1,
-                other => panic!("mock v1 server got {other:?}"),
-            }
-            conn.flush().unwrap();
-        }
-        (v2_frames, served)
-    });
-
-    let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
-    let mut client = RemoteClient::connect(&[ep], ClientConfig::default()).unwrap();
-    assert_eq!(client.negotiated_version(), MIN_PROTO_VERSION);
-
-    let blocks = client.read_blocks(&[0, 2, 3]).unwrap();
-    assert_eq!(blocks.len(), 3);
-    for (slot, id) in blocks.iter().zip([0u64, 2, 3]) {
-        assert_eq!(slot.as_ref().unwrap(), &vec![id as f64 + 0.5; 4]);
-    }
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.requests, 11);
-    assert_eq!((stats.shed, stats.refused_draining, stats.admitted), (0, 0, 0));
-    drop(client);
-
-    let (v2_frames, served) = server.join().unwrap();
-    assert_eq!(v2_frames, 0, "a v2 client must never send v2 kinds to a v1 server");
-    assert!(served >= 1);
 }

@@ -476,7 +476,15 @@ fn oversized_batches_degrade_to_per_block_errors() {
     let ids: Vec<u64> = (0..cap as u64 + 1).collect();
     protocol::write_frame(
         &mut sock,
-        &Message::ReadRequest(ReadRequest { request_id: 9, deadline_ms: 5000, budget_ms: 5000, priority: 0, ids }),
+        &Message::ReadRequest(ReadRequest {
+            request_id: 9,
+            deadline_ms: 5000,
+            budget_ms: 5000,
+            priority: 0,
+            trace_id: 0,
+            span_id: 0,
+            ids,
+        }),
     )
     .unwrap();
     let reply = protocol::read_frame(&mut sock).unwrap();
@@ -500,7 +508,15 @@ fn oversized_batches_degrade_to_per_block_errors() {
     // The connection survives: a conforming batch still serves.
     protocol::write_frame(
         &mut sock,
-        &Message::ReadRequest(ReadRequest { request_id: 10, deadline_ms: 5000, budget_ms: 5000, priority: 0, ids: vec![0, 1] }),
+        &Message::ReadRequest(ReadRequest {
+            request_id: 10,
+            deadline_ms: 5000,
+            budget_ms: 5000,
+            priority: 0,
+            trace_id: 0,
+            span_id: 0,
+            ids: vec![0, 1],
+        }),
     )
     .unwrap();
     let Message::ReadResponse(rs2) = protocol::read_frame(&mut sock).unwrap() else {
