@@ -416,22 +416,25 @@ impl FrameHeader {
     }
 }
 
-/// Encodes `msg` as one complete frame (header + payload + CRC).
-/// A payload past [`MAX_FRAME_PAYLOAD`] is a real
-/// [`FrameError::TooLarge`] — enforced here, at encode time, so an
-/// oversized message is never put on the wire for the peer to reject
-/// (and the `u32` length field can never silently truncate).
+/// Encodes `msg` as one complete frame (header + payload + CRC) in a
+/// single exactly-sized buffer. A payload past [`MAX_FRAME_PAYLOAD`] is
+/// a real [`FrameError::TooLarge`] — enforced here, at encode time and
+/// before anything is allocated, so an oversized message is never put
+/// on the wire for the peer to reject (and the `u32` length field can
+/// never silently truncate).
 pub fn frame_bytes(msg: &Message) -> Result<Vec<u8>, FrameError> {
-    let payload = encode_payload(msg);
-    if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-        return Err(FrameError::TooLarge(u32::try_from(payload.len()).unwrap_or(u32::MAX)));
+    let len = payload_len(msg);
+    let len32 = u32::try_from(len).unwrap_or(u32::MAX);
+    if len32 > MAX_FRAME_PAYLOAD {
+        return Err(FrameError::TooLarge(len32));
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+    let mut out = Vec::with_capacity(HEADER_LEN + len + 4);
     out.extend_from_slice(&MAGIC);
     out.push(msg.kind());
     out.extend_from_slice(&[0, 0, 0]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&len32.to_le_bytes());
+    encode_payload(msg, &mut out);
+    debug_assert_eq!(out.len(), HEADER_LEN + len, "payload_len disagrees with the encoder");
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     Ok(out)
@@ -476,8 +479,41 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, FrameError> {
     decode_frame(&header, &body)
 }
 
-fn encode_payload(msg: &Message) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Exact encoded payload length of `msg`, saturating on overflow so a
+/// hostile size can only ever read as too large.
+fn payload_len(msg: &Message) -> usize {
+    match msg {
+        // version, num_blocks, num_subblocks, subblock_size, error_bound
+        Message::Hello(_) => 4 + 8 + 4 + 4 + 8,
+        Message::ReadRequest(rq) => {
+            rq.ids.len().saturating_mul(8).saturating_add(READ_REQUEST_OVERHEAD)
+        }
+        // request_id, reason, retry_after_ms
+        Message::Overloaded(_) => 8 + 1 + 4,
+        Message::ReadResponse(rs) => rs.blocks.iter().fold(READ_RESPONSE_OVERHEAD, |n, b| {
+            let body = match b {
+                WireBlock::Values(v) => v.len().saturating_mul(8),
+                WireBlock::Error { message, .. } => message.len(),
+            };
+            n.saturating_add(5).saturating_add(body)
+        }),
+        Message::TelemetryResponse(bytes) => bytes.len(),
+        Message::StatsRequest | Message::TelemetryRequest => 0,
+        // the twelve WireStats counters
+        Message::StatsResponse(_) => 12 * 8,
+    }
+}
+
+/// Appends `words` to `out` as little-endian u64s in one bulk write.
+fn put_u64s(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (dst, w) in out[start..].as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *dst = w.to_le_bytes();
+    }
+}
+
+fn encode_payload(msg: &Message, p: &mut Vec<u8>) {
     match msg {
         Message::Hello(h) => {
             p.extend_from_slice(&h.version.to_le_bytes());
@@ -494,9 +530,7 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             p.extend_from_slice(&rq.trace_id.to_le_bytes());
             p.extend_from_slice(&rq.span_id.to_le_bytes());
             p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
-            for id in &rq.ids {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
+            put_u64s(p, rq.ids.iter().copied());
         }
         Message::Overloaded(o) => {
             p.extend_from_slice(&o.request_id.to_le_bytes());
@@ -511,9 +545,7 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
                     WireBlock::Values(v) => {
                         p.push(0);
                         p.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                        for x in v {
-                            p.extend_from_slice(&x.to_bits().to_le_bytes());
-                        }
+                        put_u64s(p, v.iter().map(|x| x.to_bits()));
                     }
                     WireBlock::Error { kind, message } => {
                         p.push(kind.code());
@@ -547,7 +579,6 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             }
         }
     }
-    p
 }
 
 /// Bounds-checked little-endian payload cursor. Every read is checked
@@ -585,6 +616,21 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A run of `count` little-endian u64s, bounds-checked once; a
+    /// count past the bytes present is `Malformed(what)`.
+    fn u64s(
+        &mut self,
+        count: usize,
+        what: &'static str,
+    ) -> Result<impl ExactSizeIterator<Item = u64> + 'a, FrameError> {
+        // The count must fit what's present before it sizes any buffer.
+        if count > self.buf.len() / 8 {
+            return Err(FrameError::Malformed(what));
+        }
+        let (words, _) = self.take(8 * count)?.as_chunks::<8>();
+        Ok(words.iter().map(|w| u64::from_le_bytes(*w)))
+    }
+
     fn done(&self) -> Result<(), FrameError> {
         if self.buf.is_empty() {
             Ok(())
@@ -612,14 +658,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             let trace_id = c.u64()?;
             let span_id = c.u64()?;
             let count = c.u32()? as usize;
-            // Each id is 8 bytes; the count must fit what's present.
-            if count > c.buf.len() / 8 {
-                return Err(FrameError::Malformed("id count past end of payload"));
-            }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(c.u64()?);
-            }
+            let ids = c.u64s(count, "id count past end of payload")?.collect();
             Message::ReadRequest(ReadRequest {
                 request_id,
                 deadline_ms,
@@ -642,14 +681,8 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
                 let status = c.u8()?;
                 if status == 0 {
                     let len = c.u32()? as usize;
-                    if len > c.buf.len() / 8 {
-                        return Err(FrameError::Malformed("value count past end of payload"));
-                    }
-                    let mut values = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        values.push(c.f64()?);
-                    }
-                    blocks.push(WireBlock::Values(values));
+                    let values = c.u64s(len, "value count past end of payload")?;
+                    blocks.push(WireBlock::Values(values.map(f64::from_bits).collect()));
                 } else {
                     let kind = BlockErrorKind::from_code(status)
                         .ok_or(FrameError::Malformed("unknown block status"))?;
@@ -774,6 +807,17 @@ mod tests {
                     },
                     WireBlock::Values(vec![]),
                     WireBlock::Error { kind: BlockErrorKind::OutOfRange, message: String::new() },
+                ],
+            }),
+            Message::ReadResponse(ReadResponse {
+                request_id: 9,
+                blocks: vec![
+                    WireBlock::Values(
+                        (0..300)
+                            .map(|i| f64::from(i - 150) * 2.5e-11 + 1.0 / f64::from(i + 1))
+                            .collect(),
+                    ),
+                    WireBlock::Values(vec![-0.0, f64::INFINITY, 5e-324]),
                 ],
             }),
         ]
@@ -997,9 +1041,14 @@ mod tests {
         // all come back bit-identical.
         let values = vec![
             f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
             -0.0,
+            0.0,
             f64::MIN_POSITIVE / 2.0,
+            -f64::from_bits(1),
             f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
         ];
         let msg = Message::ReadResponse(ReadResponse {
             request_id: 1,
@@ -1009,6 +1058,7 @@ mod tests {
         match got {
             Message::ReadResponse(rs) => match &rs.blocks[0] {
                 WireBlock::Values(v) => {
+                    assert_eq!(v.len(), values.len());
                     for (a, b) in v.iter().zip(&values) {
                         assert_eq!(a.to_bits(), b.to_bits());
                     }
@@ -1017,5 +1067,91 @@ mod tests {
             },
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // (frame length, CRC32 of the frame minus its trailer, FNV-1a 64
+        // of the whole frame) for each sample, captured from the
+        // encoder that built each frame through a separate payload Vec
+        // and the slice-by-4 CRC. The wire format must never drift.
+        const PINS: [(usize, u32, u64); 12] = [
+            (44, 0x1c3c_a417, 0x776f_cc1c_7387_d156),
+            (85, 0x7623_0967, 0x23eb_d3ab_573a_3494),
+            (53, 0xbd2d_4d47, 0x98ae_56c8_74f4_a098),
+            (29, 0x1b1b_e22a, 0xf1a4_b23f_f927_11f0),
+            (29, 0xb13b_ada7, 0xd1e7_bff7_df62_6d5a),
+            (16, 0x9565_1724, 0x9e9f_cb74_6cb5_4979),
+            (62, 0x0767_d872, 0xcb13_bf63_f65b_2e88),
+            (16, 0x4c45_0588, 0x9ac1_173e_4368_676f),
+            (16, 0xd740_1059, 0xb9a6_315d_5720_0924),
+            (112, 0x99ff_03e3, 0xd45e_f750_fc55_dffd),
+            (104, 0x5a58_5878, 0xc398_7163_0d61_61af),
+            (2462, 0xe5d8_57d9, 0xded8_581e_5c98_0384),
+        ];
+        let samples = sample_messages();
+        assert_eq!(samples.len(), PINS.len());
+        for (msg, (len, crc, fnv)) in samples.iter().zip(PINS) {
+            let b = frame_bytes(msg).unwrap();
+            let got_fnv = b.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ u64::from(x)).wrapping_mul(0x100_0000_01b3)
+            });
+            assert_eq!(
+                (b.len(), crc32(&b[..b.len() - 4]), got_fnv),
+                (len, crc, fnv),
+                "{} frame drifted",
+                msg.name()
+            );
+        }
+    }
+
+    #[test]
+    fn frames_are_built_in_one_exact_allocation() {
+        for msg in sample_messages() {
+            let b = frame_bytes(&msg).unwrap();
+            assert_eq!(b.capacity(), b.len(), "{}", msg.name());
+        }
+        let big = Message::ReadResponse(ReadResponse {
+            request_id: 3,
+            blocks: vec![WireBlock::Values(vec![0.5; 10_000]); 4],
+        });
+        let b = frame_bytes(&big).unwrap();
+        assert_eq!(b.len(), HEADER_LEN + 12 + 4 * (5 + 80_000) + 4);
+        assert_eq!(b.capacity(), b.len());
+    }
+
+    #[test]
+    fn cut_short_value_runs_are_malformed() {
+        // A ReadResponse whose value run claims more values than the
+        // payload holds, with the CRC rebuilt so only the run check can
+        // catch it: every shortfall is Malformed, never a panic.
+        let msg = Message::ReadResponse(ReadResponse {
+            request_id: 5,
+            blocks: vec![WireBlock::Values(vec![1.0, 2.0, 3.0])],
+        });
+        let clean = frame_bytes(&msg).unwrap();
+        let len_off = HEADER_LEN + READ_RESPONSE_OVERHEAD + 1;
+        for cut in 1..=24 {
+            // Drop `cut` trailing payload bytes and fix the header length.
+            let payload_len = clean.len() - HEADER_LEN - 4 - cut;
+            let mut frame = clean[..HEADER_LEN + payload_len].to_vec();
+            frame[8..12].copy_from_slice(&(payload_len as u32).to_le_bytes());
+            let crc = crc32(&frame);
+            frame.extend_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::Malformed(_)),
+                "cut {cut}"
+            );
+        }
+        // Same bytes, but a count one past the three values present.
+        let mut frame = clean.clone();
+        frame[len_off..len_off + 4].copy_from_slice(&4u32.to_le_bytes());
+        let crc_off = frame.len() - 4;
+        let crc = crc32(&frame[..crc_off]);
+        frame[crc_off..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut &frame[..]).unwrap_err(),
+            FrameError::Malformed("value count past end of payload")
+        ));
     }
 }

@@ -361,10 +361,15 @@ impl Compressor {
     }
 
     /// Sequential [`compress`](Self::compress) into a caller-owned output
-    /// buffer, reusing `scratch` across calls so steady-state compression
-    /// performs no per-block allocations. Output is byte-identical to
-    /// `compress` — this is what the parallel streaming pipeline's workers
-    /// run, and the determinism guarantee rests on that identity.
+    /// buffer. `scratch` carries the bit writer, the padded tail block and
+    /// the payload staging buffers across calls, so those stop allocating
+    /// once warm. The block codec itself still allocates per block
+    /// (`fit_pattern`'s metrics and scales, and `compress_block`'s
+    /// `pq`, `sq`, `shat`, `phat` and `ecq`); moving those into scratch
+    /// is open in ROADMAP.md item 1 (an allocation-free block path).
+    /// Output is byte-identical to `compress` — this is what the parallel
+    /// streaming pipeline's workers run, and the determinism guarantee
+    /// rests on that identity.
     pub fn compress_with_scratch(
         &self,
         data: &[f64],
@@ -378,7 +383,8 @@ impl Compressor {
         // before assembly: the v3 header records the blocks-section
         // length and the parity section needs every payload, so the
         // header can no longer be streamed out first. The buffers live in
-        // `scratch`, keeping the steady state allocation-free.
+        // `scratch`, so they are reused across calls (the block codec's
+        // own per-block vectors are not; see the doc above).
         scratch.payloads.clear();
         scratch.lens.clear();
         for b in 0..num_blocks {
@@ -709,7 +715,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), Decompres
     let tree = header.tree;
 
     // Slice out per-block payloads (cheap sequential scan, including CRC
-    // verification at ~1 GB/s), then decode in parallel.
+    // verification at memory speed), then decode in parallel.
     let mut frames = Vec::with_capacity(header.num_blocks);
     let mut pos = header.blocks_start;
     for b in 0..header.num_blocks {
