@@ -1,16 +1,20 @@
 //! Stage-level compression profile via the telemetry subsystem, plus the
 //! disabled-recorder overhead check, emitted as `BENCH_telemetry.json`.
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Enabled**: compress a `(dd|dd)` benzene dataset with the global
 //!    recorder on and aggregate the captured spans per stage (pattern
 //!    selection, quantization, ECQ encode, container assembly). This is
 //!    the per-stage timing the perf trajectory tracks.
-//! 2. **Disabled**: microbenchmark what one instrumentation call costs
-//!    when the recorder is off (~one relaxed atomic load), then bound
-//!    the whole-pipeline overhead as
-//!    `calls-per-block × ns-per-call / block-compress-ns`. CI asserts
+//! 2. **Enabled-path costs**: one span recorded under an installed
+//!    trace context, and one journal event once the bounded ring is
+//!    saturated and drop-counting (ring + drops must account for every
+//!    event).
+//! 3. **Disabled**: microbenchmark what one instrumentation call costs
+//!    when the recorder is off (~one relaxed atomic load), counter and
+//!    journal touch points alike, then bound the whole-pipeline overhead
+//!    as `calls-per-block × ns-per-call / block-compress-ns`. CI asserts
 //!    this stays under 2 % — the "free when off" contract.
 //!
 //! `PASTRI_BENCH_SCALE` scales the dataset like the other benches.
@@ -21,10 +25,12 @@ use bench::{geometry_of, print_header, print_row, standard_dataset};
 use pastri::Compressor;
 use qchem::basis::BfConfig;
 
-/// Instrumentation touch points on the per-block compress path: the
+/// Instrumentation touch points per compressed block: the
 /// `compress.block` span plus the three stage spans (each guard checks
-/// the enabled flag twice — open and close) and slack for counters.
-const CALLS_PER_BLOCK: f64 = 12.0;
+/// the enabled flag twice — open and close) and slack for counters,
+/// plus a journal call and the slow-request clock check on serving
+/// paths.
+const CALLS_PER_BLOCK: f64 = 14.0;
 
 /// The stage spans the compressor emits, in pipeline order.
 const STAGES: [&str; 6] = [
@@ -100,6 +106,39 @@ fn main() {
         println!("  note: {} spans dropped at the buffer cap", snap.spans_dropped);
     }
 
+    // ---- Enabled-path costs: traced span, saturated journal. ----
+    const SPAN_REPS: u64 = 100_000;
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let guard = telemetry::push_trace(telemetry::trace_ids(1, 0));
+    let t = Instant::now();
+    for _ in 0..SPAN_REPS {
+        let _s = telemetry::span("bench.traced");
+        std::hint::black_box(());
+    }
+    let span_traced_ns = t.elapsed().as_nanos() as f64 / SPAN_REPS as f64;
+    drop(guard);
+    const JOURNAL_REPS: u64 = 50_000;
+    telemetry::reset();
+    let t = Instant::now();
+    for i in 0..JOURNAL_REPS {
+        telemetry::journal("bench.journal", i, 0);
+    }
+    let journal_ns = t.elapsed().as_nanos() as f64 / JOURNAL_REPS as f64;
+    let jsnap = telemetry::snapshot();
+    telemetry::set_enabled(false);
+    let journal_drops: u64 = jsnap.events_dropped.iter().map(|c| c.value).sum();
+    assert_eq!(
+        jsnap.events.len() as u64 + journal_drops,
+        JOURNAL_REPS,
+        "journal ring + drop counters must account for every event"
+    );
+    println!(
+        "\nenabled: traced span {span_traced_ns:.1} ns; journal {journal_ns:.1} ns/event \
+         saturated ({} retained, {journal_drops} dropped)",
+        jsnap.events.len()
+    );
+
     // ---- Disabled run: timing baseline per block. ----
     let t = Instant::now();
     let disabled_out = compressor.compress(&ds.values);
@@ -111,11 +150,13 @@ fn main() {
     const REPS: u64 = 2_000_000;
     assert!(!telemetry::is_enabled());
     let t = Instant::now();
-    for _ in 0..REPS {
+    for i in 0..REPS {
         telemetry::counter_add("bench.noop", 1);
+        telemetry::journal("bench.noop", i, 0);
         std::hint::black_box(());
     }
-    let ns_per_call = t.elapsed().as_nanos() as f64 / REPS as f64;
+    // Two disabled calls per rep; ns_per_call is the per-touch-point cost.
+    let ns_per_call = t.elapsed().as_nanos() as f64 / (2 * REPS) as f64;
 
     let overhead_pct = CALLS_PER_BLOCK * ns_per_call / block_ns * 100.0;
     println!(
@@ -135,7 +176,9 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"telemetry_stages\",\n  \"dataset\": \"{}\",\n  \
          \"error_bound\": {eb:e},\n  \"blocks\": {blocks},\n  \"stages\": [\n{}\n  ],\n  \
-         \"container_total_us\": {},\n  \"disabled_ns_per_call\": {ns_per_call:.3},\n  \
+         \"container_total_us\": {},\n  \"span_traced_ns\": {span_traced_ns:.1},\n  \
+         \"journal_ns_per_event\": {journal_ns:.1},\n  \"journal_drops\": {journal_drops},\n  \
+         \"disabled_ns_per_call\": {ns_per_call:.3},\n  \
          \"calls_per_block\": {CALLS_PER_BLOCK},\n  \"block_compress_ns\": {block_ns:.0},\n  \
          \"disabled_overhead_pct\": {overhead_pct:.4},\n  \"overhead_budget_pct\": 2.0\n}}\n",
         ds.label,

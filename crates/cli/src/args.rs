@@ -95,6 +95,14 @@ impl Args {
                 .map_err(|_| CliError::new(format!("--{key}: `{v}` is not an integer"))),
         }
     }
+
+    /// Parsed `u32` flag with default: a value past `u32::MAX` is a usage
+    /// error, never a silent wrap.
+    pub fn get_u32(&self, key: &str, default: u32) -> Result<u32, CliError> {
+        let v = self.get_usize(key, default as usize)?;
+        u32::try_from(v)
+            .map_err(|_| CliError::new(format!("--{key}: `{v}` is larger than {}", u32::MAX)))
+    }
 }
 
 #[cfg(test)]
@@ -127,6 +135,10 @@ mod tests {
         assert_eq!(a.get_f64("eb", 0.0).unwrap(), 1e-10);
         assert_eq!(a.get_usize("blocks", 0).unwrap(), 42);
         assert_eq!(a.get_f64("missing", 7.5).unwrap(), 7.5);
+        let big = parse(&["--n", "4294967296", "--m", "4294967295"]);
+        assert!(big.get_u32("n", 0).is_err(), "must not wrap to 0");
+        assert_eq!(big.get_u32("m", 0).unwrap(), u32::MAX);
+        assert_eq!(big.get_u32("missing", 9).unwrap(), 9);
         let bad = parse(&["--eb", "--x"]); // eb becomes a switch
         assert_eq!(bad.get_f64("eb", 3.0).unwrap(), 3.0);
     }

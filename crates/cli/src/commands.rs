@@ -950,21 +950,18 @@ pub fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         args.get_usize("subblock-size", cfg.geometry.subblock_size)?,
     );
     cfg.mix = soak::OpMix {
-        read: args.get_usize("read-weight", cfg.mix.read as usize)? as u32,
-        write_container: args.get_usize("container-weight", cfg.mix.write_container as usize)?
-            as u32,
-        write_stream: args.get_usize("stream-weight", cfg.mix.write_stream as usize)? as u32,
-        crash_resume: args.get_usize("crash-weight", cfg.mix.crash_resume as usize)? as u32,
-        scrub: args.get_usize("scrub-weight", cfg.mix.scrub as usize)? as u32,
+        read: args.get_u32("read-weight", cfg.mix.read)?,
+        write_container: args.get_u32("container-weight", cfg.mix.write_container)?,
+        write_stream: args.get_u32("stream-weight", cfg.mix.write_stream)?,
+        crash_resume: args.get_u32("crash-weight", cfg.mix.crash_resume)?,
+        scrub: args.get_u32("scrub-weight", cfg.mix.scrub)?,
     };
     cfg.faults = soak::FaultPlan {
         bit_flip_every: args.get_usize("bit-flip-every", cfg.faults.bit_flip_every)?,
         flips_per_event: args.get_usize("flips-per-event", cfg.faults.flips_per_event)?,
         torn_stream_every: args.get_usize("torn-every", cfg.faults.torn_stream_every)?,
         transient_rate: args.get_f64("transient-rate", cfg.faults.transient_rate)?,
-        max_transient_errors: args
-            .get_usize("max-transients", cfg.faults.max_transient_errors as usize)?
-            as u32,
+        max_transient_errors: args.get_u32("max-transients", cfg.faults.max_transient_errors)?,
     };
     cfg.slo = soak::SloGates {
         read_p99_us: args
@@ -994,10 +991,7 @@ pub fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     cfg.keep_artifacts = args.switch("keep");
     let bench_out = args.get("bench-out").unwrap_or("BENCH_soak.json");
 
-    let report = soak::run(&cfg).map_err(|e| match e {
-        soak::SoakError::Config(m) => CliError::new(format!("soak: {m}")),
-        soak::SoakError::Io(io) => CliError::new(format!("soak: {io}")),
-    })?;
+    let report = soak::run(&cfg).map_err(|e| soak_err("soak", e))?;
 
     let t = &report.tallies;
     writeln!(
@@ -1019,16 +1013,7 @@ pub fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "  healing: {} repaired on read, {} repaired by scrub, {} quarantined",
         t.read_repaired, t.scrub_repaired, t.quarantined
     )?;
-    for g in &report.gates {
-        writeln!(
-            out,
-            "  gate {:<24} threshold {:>12} actual {:>12}  {}",
-            g.gate,
-            format!("{}", g.threshold),
-            g.actual.map_or_else(|| "n/a".to_string(), |v| format!("{v}")),
-            if g.pass { "PASS" } else { "FAIL" }
-        )?;
-    }
+    print_gates(out, &report.gates)?;
     if report.spans_dropped > 0 {
         writeln!(
             out,
@@ -1051,124 +1036,174 @@ pub fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             report.unaccounted_loss, t.value_mismatches
         )));
     }
-    if !report.all_gates_pass() {
-        let failed: Vec<&str> = report
-            .gates
-            .iter()
-            .filter(|g| !g.pass)
-            .map(|g| g.gate)
-            .collect();
-        return Err(CliError::corruption(format!(
-            "soak: SLO gate(s) violated: {}",
-            failed.join(", ")
-        )));
-    }
+    check_gates("soak", &report.gates)?;
     writeln!(out, "soak: PASS — zero data loss, all gates hold")?;
     Ok(())
 }
 
+/// Maps a harness error onto the exit contract: a store the cache
+/// server cannot mount follows `serve`'s split, everything else is a
+/// usage/I-O exit 1.
+fn soak_err(label: &str, e: soak::SoakError) -> CliError {
+    match e {
+        soak::SoakError::Config(m) => CliError::new(format!("{label}: {m}")),
+        soak::SoakError::Io(io) => CliError::new(format!("{label}: {io}")),
+        soak::SoakError::Server(e) => server_err(e),
+    }
+}
+
+fn print_gates(out: &mut dyn Write, gates: &[soak::GateResult]) -> Result<(), CliError> {
+    for g in gates {
+        writeln!(
+            out,
+            "  gate {:<24} threshold {:>12} actual {:>12}  {}",
+            g.gate,
+            format!("{}", g.threshold),
+            g.actual.map_or_else(|| "n/a".to_string(), |v| format!("{v}")),
+            if g.pass { "PASS" } else { "FAIL" }
+        )?;
+    }
+    Ok(())
+}
+
+/// A violated SLO gate is exit 2.
+fn check_gates(label: &str, gates: &[soak::GateResult]) -> Result<(), CliError> {
+    let failed: Vec<&str> = gates.iter().filter(|g| !g.pass).map(|g| g.gate).collect();
+    if failed.is_empty() {
+        return Ok(());
+    }
+    Err(CliError::corruption(format!(
+        "{label}: SLO gate(s) violated: {}",
+        failed.join(", ")
+    )))
+}
+
 /// `pastri soak --transport` — the client/server wire storm: replicated
-/// servers behind seeded fault proxies, concurrent remote clients,
-/// zero-loss accounting, and `rpc.*` SLO gates (DESIGN §13).
+/// servers behind seeded fault proxies (or, with `--overload`, a seeded
+/// overload injector), concurrent remote clients, zero-loss accounting,
+/// and `rpc.*` SLO gates (DESIGN §13/§14). The store is a seeded
+/// fixture written under `dir`.
 fn soak_transport(
     args: &Args,
     dir: &str,
     out: &mut dyn Write,
     telem: Option<TelemetryCapture>,
 ) -> Result<(), CliError> {
-    let mut cfg = soak::TransportStormConfig::storm(std::path::Path::new(dir), 42);
-    cfg.seed = args.get_usize("seed", 42)? as u64;
+    let seed = args.get_usize("seed", 42)? as u64;
+    let mut cfg = if args.switch("overload") {
+        soak::TrafficConfig::overload_storm(seed)
+    } else {
+        soak::TrafficConfig::storm(seed)
+    };
     cfg.replicas = args.get_usize("replicas", cfg.replicas)?;
     cfg.clients = args.get_usize("clients", cfg.clients)?;
     cfg.requests_per_client = args.get_usize("requests", cfg.requests_per_client)?;
     cfg.max_batch = args.get_usize("max-batch", cfg.max_batch)?;
-    cfg.scale = args.get_usize("scale", cfg.scale)?;
-    cfg.error_bound = args.get_f64("eb", cfg.error_bound)?;
-    cfg.faults.faulty_every =
-        args.get_usize("faulty-every", cfg.faults.faulty_every as usize)? as u32;
-    cfg.faults.max_faults = args.get_usize("max-faults", cfg.faults.max_faults as usize)? as u32;
-    if args.switch("overload") {
-        // Overload mode: clean wire, seeded server-side injector,
-        // client breakers, graceful drain (DESIGN §14). Defaults to
-        // one replica so the shed/breaker tallies stay seed-pure.
-        cfg.replicas = args.get_usize("replicas", 1)?;
-        let mut ovl = soak::OverloadStormConfig::default();
-        ovl.inject.shed_every = args.get_usize("shed-every", ovl.inject.shed_every as usize)? as u64;
-        ovl.inject.max_sheds_per_key =
-            args.get_usize("max-sheds-per-key", ovl.inject.max_sheds_per_key as usize)? as u32;
-        ovl.inject.delay_every =
-            args.get_usize("delay-every", ovl.inject.delay_every as usize)? as u64;
-        ovl.breaker.failure_threshold = args
-            .get_usize("breaker-threshold", ovl.breaker.failure_threshold as usize)?
-            as u32;
-        cfg.overload = Some(ovl);
+    let mut fixture = soak::Fixture::storm();
+    fixture.blocks = args.get_usize("scale", fixture.blocks)?;
+    fixture.error_bound = args.get_f64("eb", fixture.error_bound)?;
+    match &mut cfg.layer {
+        soak::Layer::Wire(faults) => {
+            faults.faulty_every = args.get_u32("faulty-every", faults.faulty_every)?;
+            faults.max_faults = args.get_u32("max-faults", faults.max_faults)?;
+        }
+        soak::Layer::Overload(ovl) => {
+            ovl.inject.shed_every = args.get_usize("shed-every", ovl.inject.shed_every as usize)? as u64;
+            ovl.inject.max_sheds_per_key =
+                args.get_u32("max-sheds-per-key", ovl.inject.max_sheds_per_key)?;
+            ovl.inject.delay_every =
+                args.get_usize("delay-every", ovl.inject.delay_every as usize)? as u64;
+            ovl.breaker.failure_threshold =
+                args.get_u32("breaker-threshold", ovl.breaker.failure_threshold)?;
+        }
+        soak::Layer::InProcess => unreachable!("storms run over the wire"),
     }
-    cfg.slo = soak::TransportSloGates {
-        rpc_p99_us: args
-            .get("slo-rpc-p99-us")
-            .map(|_| args.get_usize("slo-rpc-p99-us", 0))
-            .transpose()?
-            .map(|v| v as u64),
-        max_deadline_exceeded: args
-            .get("slo-max-deadline-exceeded")
-            .map(|_| args.get_usize("slo-max-deadline-exceeded", 0))
-            .transpose()?
-            .map(|v| v as u64),
-        max_frame_errors: args
-            .get("slo-max-frame-errors")
-            .map(|_| args.get_usize("slo-max-frame-errors", 0))
-            .transpose()?
-            .map(|v| v as u64),
+    let opt_u64 = |key: &str| -> Result<Option<u64>, CliError> {
+        args.get(key).map(|_| args.get_usize(key, 0).map(|v| v as u64)).transpose()
+    };
+    cfg.slo = soak::TrafficSloGates {
+        rpc_p99_us: opt_u64("slo-rpc-p99-us")?,
+        max_deadline_exceeded: opt_u64("slo-max-deadline-exceeded")?,
+        max_frame_errors: opt_u64("slo-max-frame-errors")?,
         max_shed_rate: args
             .get("slo-max-shed-rate")
             .map(|_| args.get_f64("slo-max-shed-rate", 0.0))
             .transpose()?,
-        queue_wait_p99_us: args
-            .get("slo-queue-wait-p99-us")
-            .map(|_| args.get_usize("slo-queue-wait-p99-us", 0))
-            .transpose()?
-            .map(|v| v as u64),
-        max_breaker_opened: args
-            .get("slo-max-breaker-opened")
-            .map(|_| args.get_usize("slo-max-breaker-opened", 0))
-            .transpose()?
-            .map(|v| v as u64),
+        queue_wait_p99_us: opt_u64("slo-queue-wait-p99-us")?,
+        max_breaker_opened: opt_u64("slo-max-breaker-opened")?,
     };
-    cfg.keep_artifacts = args.switch("keep");
     let bench_out = args.get("bench-out").unwrap_or("BENCH_transport_soak.json");
 
-    let report = soak::run_transport(&cfg).map_err(|e| match e {
-        soak::SoakError::Config(m) => CliError::new(format!("soak: {m}")),
-        soak::SoakError::Io(io) => CliError::new(format!("soak: {io}")),
-    })?;
+    let label = "soak --transport";
+    let store = std::path::Path::new(dir).join("storm.eristore");
+    fixture.write(&store, seed).map_err(|e| soak_err(label, e))?;
+    let result = soak::run_traffic(&store, &eri_server::ServerConfig::default(), &cfg);
+    if !args.switch("keep") {
+        let _ = fs::remove_file(&store);
+    }
+    let report = result.map_err(|e| soak_err(label, e))?;
+    finish_traffic(out, label, bench_out, &report, telem)
+}
 
+/// Prints a traffic run's summary, writes its JSON report, and maps the
+/// verdict onto the exit contract: lost or mismatched blocks, unsound
+/// overload books, or a violated gate are exit 2.
+fn finish_traffic(
+    out: &mut dyn Write,
+    label: &str,
+    bench_out: &str,
+    report: &soak::TrafficReport,
+    telem: Option<TelemetryCapture>,
+) -> Result<(), CliError> {
+    let c = &report.config;
     let t = &report.tallies;
-    let r = &report.recovery;
-    let p = &report.proxy;
+    let s = &report.cache;
+    let na = |v: Option<u64>| v.map_or_else(|| "n/a".to_string(), |v| v.to_string());
+    let target = match c.layer {
+        soak::Layer::InProcess => "in-process".to_string(),
+        _ => format!("{} replica(s)", c.replicas),
+    };
     writeln!(
         out,
-        "soak --transport: seed {} — {} requests from {} clients over {} replicas, {:.2}s wall",
-        report.seed,
-        t.requests_planned,
-        cfg.clients,
-        cfg.replicas,
-        report.wall.as_secs_f64()
+        "{label}: seed {} — {} requests from {} clients over {} blocks ({target}), {:.2}s wall",
+        c.seed, t.requests_planned, c.clients, report.dataset_blocks, report.wall_s
     )?;
     writeln!(
         out,
-        "  served {} of {} blocks, value_sig {:016x}",
-        t.blocks_served, t.blocks_requested, t.value_sig
+        "  served {} of {} blocks ({} bytes) at {:.1} MB/s, value_sig {:016x}",
+        t.blocks_served, t.blocks_requested, t.bytes_served, report.mb_per_s, t.value_sig
     )?;
     writeln!(
         out,
-        "  wire faults: {} conns through proxies — {} truncates, {} corrupts, {} drops, {} stalls, {} resets",
-        p.conns, p.truncates, p.corrupts, p.drops, p.stalls, p.resets
+        "  cache: hit rate {:.3} ({}/{} lookups), high water {} of {} bytes",
+        s.hit_rate().unwrap_or(0.0),
+        s.hits,
+        s.lookups,
+        s.high_water_bytes,
+        s.capacity_bytes
     )?;
     writeln!(
         out,
-        "  recovery: {} retries, {} hedges, {} frame errors, {} deadline misses",
-        r.retries, r.hedges, r.frame_errors, r.deadline_exceeded
+        "  latency: read p50 {} µs, p99 {} µs; miss p99 {} µs; rpc p99 {} µs",
+        na(report.read_p50_us),
+        na(report.read_p99_us),
+        na(report.miss_p99_us),
+        na(report.rpc_p99_us),
     )?;
+    if !matches!(c.layer, soak::Layer::InProcess) {
+        let p = &report.proxy;
+        let r = &report.recovery;
+        writeln!(
+            out,
+            "  wire faults: {} conns through proxies — {} truncates, {} corrupts, {} drops, {} stalls, {} resets",
+            p.conns, p.truncates, p.corrupts, p.drops, p.stalls, p.resets
+        )?;
+        writeln!(
+            out,
+            "  recovery: {} retries, {} hedges, {} frame errors, {} deadline misses",
+            r.retries, r.hedges, r.frame_errors, r.deadline_exceeded
+        )?;
+    }
     if let Some(o) = &report.overload {
         writeln!(
             out,
@@ -1183,17 +1218,13 @@ fn soak_transport(
             if o.drain_complete { "complete" } else { "INCOMPLETE" }
         )?;
     }
-    for g in &report.gates {
-        writeln!(
-            out,
-            "  gate {:<24} threshold {:>12} actual {:>12}  {}",
-            g.gate,
-            format!("{}", g.threshold),
-            g.actual.map_or_else(|| "n/a".to_string(), |v| format!("{v}")),
-            if g.pass { "PASS" } else { "FAIL" }
-        )?;
-    }
-    fs::write(bench_out, report.to_json(&cfg))
+    writeln!(
+        out,
+        "  reuse model: {:.2}s regen, {:.2}s uncached, {:.2}s at measured hit rate",
+        report.reuse.original_s, report.reuse.uncached_s, report.reuse.cached_s
+    )?;
+    print_gates(out, &report.gates)?;
+    fs::write(bench_out, report.to_json())
         .map_err(|e| CliError::new(format!("writing {bench_out}: {e}")))?;
     writeln!(out, "  report: {bench_out}")?;
     if let Some(tcap) = telem {
@@ -1202,7 +1233,7 @@ fn soak_transport(
 
     if !report.zero_data_loss() {
         return Err(CliError::corruption(format!(
-            "soak --transport: DATA LOSS — {} block(s) lost, {} value mismatch(es)",
+            "{label}: DATA LOSS — {} block(s) lost, {} value mismatch(es)",
             t.lost_blocks, t.value_mismatches
         )));
     }
@@ -1210,25 +1241,12 @@ fn soak_transport(
         // A dropped admitted request or a shed that never surfaced as
         // a structured error is silent loss — same severity as data
         // loss in the exit contract.
-        return Err(CliError::corruption(
-            "soak --transport: overload accounting violated — dropped admitted request or \
-             unsurfaced shed"
-                .to_string(),
-        ));
-    }
-    if !report.all_gates_pass() {
-        let failed: Vec<&str> = report
-            .gates
-            .iter()
-            .filter(|g| !g.pass)
-            .map(|g| g.gate)
-            .collect();
         return Err(CliError::corruption(format!(
-            "soak --transport: SLO gate(s) violated: {}",
-            failed.join(", ")
+            "{label}: overload accounting violated — dropped admitted request or unsurfaced shed"
         )));
     }
-    writeln!(out, "soak --transport: PASS — zero loss over the wire, all gates hold")?;
+    check_gates(label, &report.gates)?;
+    writeln!(out, "{label}: PASS — zero data loss, all gates hold")?;
     Ok(())
 }
 
@@ -1407,7 +1425,7 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ),
         ..Default::default()
     };
-    cfg.retry.max_retries = args.get_usize("retries", cfg.retry.max_retries as usize)? as u32;
+    cfg.retry.max_retries = args.get_u32("retries", cfg.retry.max_retries)?;
     let mut seed = 0u64;
     if let Some(raw) = args.get("seed") {
         seed = raw.parse().map_err(|_| {
@@ -1528,112 +1546,45 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Deterministic ERI-magnitude block for `bench-server --gen-blocks`
-/// fixtures (same envelope the integration fixtures use).
-fn bench_block(geom: BlockGeometry, seed: usize) -> Vec<f64> {
-    let mut block = Vec::with_capacity(geom.block_size());
-    for sb in 0..geom.num_subblocks {
-        let s = ((sb + seed) as f64 * 0.61).cos();
-        for i in 0..geom.subblock_size {
-            block.push(s * ((i as f64 + seed as f64) * 0.37).sin() * 1e-6);
-        }
-    }
-    block
-}
-
-/// `pastri bench-server` — seeded Zipf-ish traffic replay against the
-/// cache server, emitting BENCH_server.json. With `--gen-blocks N` the
-/// store is synthesized first (a seeded fixture), so CI can run the
-/// whole benchmark from nothing.
+/// `pastri bench-server` — the seeded Zipf-ish traffic driver against
+/// the in-process cache server, checking every served block against a
+/// direct store read and emitting BENCH_server.json. With
+/// `--gen-blocks N` the store is a seeded fixture written first, so CI
+/// can run the whole benchmark from nothing.
 pub fn bench_server(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let store = args.positional(0, "store")?;
-    let cfg = server_config(&args)?;
+    let server = server_config(&args)?;
 
-    let mut replay = eri_server::replay::ReplayConfig::default();
-    replay.seed = args.get_usize("seed", replay.seed as usize)? as u64;
-    replay.clients = args.get_usize("clients", replay.clients)?.max(1);
-    replay.requests_per_client = args.get_usize("requests", replay.requests_per_client)?.max(1);
-    replay.max_batch = args.get_usize("max-batch", replay.max_batch)?.max(1);
-    replay.skew = args.get_f64("skew", replay.skew)?;
+    let label = "bench-server";
+    let mut cfg = soak::TrafficConfig::in_process(args.get_usize("seed", 42)? as u64);
+    cfg.clients = args.get_usize("clients", cfg.clients)?.max(1);
+    cfg.requests_per_client = args.get_usize("requests", cfg.requests_per_client)?.max(1);
+    cfg.max_batch = args.get_usize("max-batch", cfg.max_batch)?.max(1);
+    cfg.skew = args.get_f64("skew", cfg.skew)?;
+    cfg.validate().map_err(|e| soak_err(label, e))?;
     let bench_out = args.get("bench-out").unwrap_or("BENCH_server.json");
 
     let gen_blocks = args.get_usize("gen-blocks", 0)?;
     if gen_blocks > 0 {
-        let geom = BlockGeometry::new(
-            args.get_usize("subblocks", 4)?,
-            args.get_usize("subblock-size", 32)?,
-        );
-        let eb = args.get_f64("eb", 1e-10)?;
-        if let Some(parent) = std::path::Path::new(store).parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)
-                    .map_err(|e| CliError::new(format!("creating {}: {e}", parent.display())))?;
-            }
-        }
-        let mut w = eri_store::StoreWriter::create(std::path::Path::new(store), geom, eb)
+        let fixture = soak::Fixture {
+            blocks: gen_blocks,
+            geometry: BlockGeometry::new(
+                args.get_usize("subblocks", 4)?,
+                args.get_usize("subblock-size", 32)?,
+            ),
+            error_bound: args.get_f64("eb", 1e-10)?,
+        };
+        fixture
+            .write(std::path::Path::new(store), cfg.seed)
             .map_err(|e| CliError::new(format!("generating {store}: {e}")))?;
-        for b in 0..gen_blocks {
-            w.append_block(&bench_block(geom, replay.seed as usize + b))
-                .map_err(|e| CliError::new(format!("generating {store}: {e}")))?;
-        }
-        w.finish()
-            .map_err(|e| CliError::new(format!("generating {store}: {e}")))?;
-        writeln!(out, "bench-server: generated {gen_blocks}-block store at {store}")?;
+        writeln!(out, "{label}: generated {gen_blocks}-block store at {store}")?;
     }
 
-    let srv = eri_server::ServerHandle::open(&[store], &cfg).map_err(server_err)?;
-    let report = eri_server::replay::run(&srv, &replay);
-
-    let t = &report.tallies;
-    let s = &report.cache;
-    writeln!(
-        out,
-        "bench-server: seed {} — {} requests from {} clients over {} blocks, {:.2}s wall",
-        replay.seed, t.requests, replay.clients, report.dataset_blocks, report.wall_s
-    )?;
-    writeln!(
-        out,
-        "  served {} blocks ({} bytes) at {:.1} MB/s, value_sig {:016x}",
-        t.blocks_served, t.bytes_served, report.mb_per_s, t.value_sig
-    )?;
-    writeln!(
-        out,
-        "  cache: hit rate {:.3} ({}/{} lookups), high water {} of {} bytes",
-        s.hit_rate().unwrap_or(0.0),
-        s.hits,
-        s.lookups,
-        s.high_water_bytes,
-        s.capacity_bytes
-    )?;
-    writeln!(
-        out,
-        "  latency: read p50 {} µs, p99 {} µs; miss p99 {} µs",
-        report.read_p50_us.map_or_else(|| "n/a".into(), |v| v.to_string()),
-        report.read_p99_us.map_or_else(|| "n/a".into(), |v| v.to_string()),
-        report.miss_p99_us.map_or_else(|| "n/a".into(), |v| v.to_string()),
-    )?;
-    writeln!(
-        out,
-        "  reuse model: {:.2}s regen, {:.2}s uncached, {:.2}s at measured hit rate",
-        report.reuse.original_s, report.reuse.uncached_s, report.reuse.cached_s
-    )?;
-    fs::write(bench_out, report.to_json())
-        .map_err(|e| CliError::new(format!("writing {bench_out}: {e}")))?;
-    writeln!(out, "  report: {bench_out}")?;
-    if let Some(tcap) = telem {
-        tcap.finish(out)?;
-    }
-
-    if !report.pass() {
-        return Err(CliError::corruption(format!(
-            "bench-server: {} batch(es) failed to serve",
-            t.batches_failed
-        )));
-    }
-    writeln!(out, "bench-server: PASS — every batch served")?;
-    Ok(())
+    let report = soak::run_traffic(std::path::Path::new(store), &server, &cfg)
+        .map_err(|e| soak_err(label, e))?;
+    finish_traffic(out, label, bench_out, &report, telem)
 }
 
 /// Derived dashboard numbers for one `pastri top` tick.

@@ -25,7 +25,8 @@
 //!   percentiles, admission and journal state per tick
 //! * `trace`      — merge telemetry JSON-lines exports from different
 //!   processes into one Chrome trace joined on shared trace ids
-//! * `bench-server` — seeded traffic replay against the cache server,
+//! * `bench-server` — seeded traffic against the in-process cache
+//!   server, each served block checked against a direct store read,
 //!   emitting BENCH_server.json
 //!
 //! The argument parser is deliberately dependency-free: flags are
@@ -206,11 +207,16 @@ CACHE SERVER (`serve` / `bench-server`):
   bound) as one global block index space behind shard-parallel readers
   and a byte-budgeted hot-block cache, then serves the requested blocks
   in order (all blocks when --blocks is omitted). `pastri bench-server`
-  replays a seeded Zipf-ish workload against the same server: for a
-  fixed --seed the report's `tallies` line (requests, blocks, bytes,
+  drives the seeded traffic of `soak --transport` against the same
+  server in-process: Zipf-ish popularity (--skew, finite and > 0; 3.0
+  puts most reads on a few hot blocks), every served block checked
+  against a direct store read. For a fixed --seed the report's
+  `tallies` line (requests, blocks, bytes, lost and mismatched blocks,
   value signature) is bit-identical at any thread count, while `cache`
   and `timing` carry the scheduling-dependent hit rate and latency
-  percentiles. --gen-blocks N synthesizes the store first.
+  percentiles. --gen-blocks N writes a seeded fixture store first
+  (--subblocks 4 --subblock-size 32 --eb 1e-10). A lost or mismatched
+  block is exit 2.
 
 REMOTE SERVING (`serve --listen` / `fetch`):
   `pastri serve --listen tcp:127.0.0.1:7421` (or `unix:/path.sock`)

@@ -87,8 +87,18 @@ fn read_varint_at(bytes: &[u8], mut pos: usize) -> (usize, usize) {
     }
 }
 
+/// The telemetry recorder is process-global: `soak` and `bench-server`
+/// gate on what it records, and `serve --listen` resets and disables it.
+/// Tests that run either kind must not overlap, or a gate reads an
+/// empty histogram.
+fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[test]
 fn exit_codes_follow_the_documented_contract() {
+    let _telemetry = telemetry_lock();
     let dir = tmpdir("exit-codes");
     let raw = p(&dir, "data.f64");
     let container = p(&dir, "clean.pastri");
@@ -302,6 +312,16 @@ fn exit_codes_follow_the_documented_contract() {
             argv: soak_case(&["--slo-read-p99-us", "0"]),
             want: 2,
         },
+        // soak --transport: a fault-schedule flag past u32::MAX is a
+        // usage error, not a silent wrap to 0 (no faults, false PASS).
+        Case {
+            label: "soak --transport --faulty-every past u32",
+            argv: sv(&[
+                "soak", &soak_dir, "--transport", "--faulty-every", "4294967296",
+                "--bench-out", &soak_bench,
+            ]),
+            want: 1,
+        },
         // serve: clean / missing store / out-of-range request /
         // beyond-parity-budget block in a mounted shard.
         Case {
@@ -347,6 +367,18 @@ fn exit_codes_follow_the_documented_contract() {
             ]),
             want: 2,
         },
+        // A skew that is NaN or not > 0 would drive every draw to one
+        // block: rejected up front.
+        Case {
+            label: "bench-server skew nan",
+            argv: sv(&["bench-server", &clean_store, "--skew", "nan", "--bench-out", &server_bench]),
+            want: 1,
+        },
+        Case {
+            label: "bench-server skew 0",
+            argv: sv(&["bench-server", &clean_store, "--skew", "0", "--bench-out", &server_bench]),
+            want: 1,
+        },
         // usage errors.
         Case {
             label: "unknown subcommand",
@@ -383,6 +415,7 @@ fn exit_codes_follow_the_documented_contract() {
 /// the table has consumed their connections.
 #[test]
 fn transport_exit_codes_follow_the_documented_contract() {
+    let _telemetry = telemetry_lock();
     let dir = tmpdir("transport-exit-codes");
     let store = p(&dir, "wire.eristore");
     build_server_store(&store, 12);

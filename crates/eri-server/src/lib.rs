@@ -33,10 +33,10 @@
 //! `cache.evictions` / `cache.admission_rejects` and the `cache.bytes`
 //! gauge.
 //!
-//! Two front ends share this handle: the in-process API used by tests
-//! and the pfs-sim reuse projection, and the `pastri serve` /
-//! `pastri bench-server` CLI pair (see `replay` for the seeded traffic
-//! generator behind BENCH_server.json).
+//! Two front ends share this handle: the in-process API, and the PTRF
+//! wire server in [`transport`]. The seeded traffic driver behind
+//! `pastri bench-server` and `pastri soak --transport` (the `soak`
+//! crate's `traffic` module) drives either one.
 
 use std::fs::File;
 use std::io::{Read, Seek};
@@ -54,7 +54,6 @@ pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod protocol;
-pub mod replay;
 pub mod transport;
 
 pub use admission::{AdmissionConfig, AdmissionController, DrainOutcome, InjectedLoad, OverloadInject};

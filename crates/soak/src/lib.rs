@@ -31,6 +31,10 @@
 //! (A wall-clock budget — [`SoakConfig::time_budget`] — necessarily
 //! trades that away: skipped-op counts then depend on timing.)
 //!
+//! The [`traffic`] module is the serving-side counterpart: one seeded
+//! driver that re-reads a store through the cache server in-process or
+//! over the wire (`pastri bench-server`, `pastri soak --transport`).
+//!
 //! Like `bench` and the test suite — and unlike every production crate —
 //! this crate depends on `faults` by design: injecting faults is its job.
 
@@ -50,13 +54,21 @@ use pastri::{BlockGeometry, Compressor};
 use rayon::prelude::*;
 
 pub mod report;
-pub mod transport;
+pub mod traffic;
 
 pub use report::{GateResult, SoakReport, Tallies};
-pub use transport::{
-    run_transport, OverloadStormConfig, OverloadTallies, TransportReport, TransportSloGates,
-    TransportStormConfig, TransportTallies,
+pub use traffic::{
+    run_traffic, Fixture, Layer, OverloadStormConfig, OverloadTallies, TrafficConfig,
+    TrafficReport, TrafficSloGates, TrafficTallies,
 };
+
+/// Telemetry is process-global: runs in one test binary must not
+/// overlap. A panicking test poisons nothing for the others.
+#[cfg(test)]
+fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Relative weights of the operation kinds in the workload mix.
 #[derive(Debug, Clone, Copy)]
@@ -202,6 +214,8 @@ pub enum SoakError {
     Io(std::io::Error),
     /// Impossible configuration (zero stores, zero-weight mix, …).
     Config(&'static str),
+    /// The cache server could not mount the store a traffic run targets.
+    Server(eri_server::ServerError),
 }
 
 impl std::fmt::Display for SoakError {
@@ -209,6 +223,7 @@ impl std::fmt::Display for SoakError {
         match self {
             SoakError::Io(e) => write!(f, "I/O error: {e}"),
             SoakError::Config(m) => write!(f, "bad soak config: {m}"),
+            SoakError::Server(e) => write!(f, "server: {e}"),
         }
     }
 }
@@ -733,10 +748,6 @@ use pastri::stream::StreamWriter;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Telemetry state is process-global; soak runs must not overlap.
-    static SOAK_LOCK: Mutex<()> = Mutex::new(());
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("soak-{}-{name}", std::process::id()));
@@ -746,7 +757,7 @@ mod tests {
 
     #[test]
     fn clean_run_without_faults_loses_nothing() {
-        let _g = SOAK_LOCK.lock().unwrap();
+        let _g = telemetry_lock();
         let dir = tmpdir("clean");
         let mut cfg = SoakConfig::storm(&dir, 7);
         cfg.ops = 40;
@@ -769,7 +780,7 @@ mod tests {
 
     #[test]
     fn storm_tallies_are_seed_deterministic() {
-        let _g = SOAK_LOCK.lock().unwrap();
+        let _g = telemetry_lock();
         let dir = tmpdir("det");
         let cfg = SoakConfig::storm(&dir, 99);
         let a = run(&cfg).unwrap();
@@ -787,7 +798,7 @@ mod tests {
 
     #[test]
     fn impossible_gate_fails_the_run() {
-        let _g = SOAK_LOCK.lock().unwrap();
+        let _g = telemetry_lock();
         let dir = tmpdir("gate");
         let mut cfg = SoakConfig::storm(&dir, 11);
         cfg.ops = 30;

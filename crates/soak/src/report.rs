@@ -235,12 +235,39 @@ pub fn build(
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
+/// An f64 as a JSON number: plain decimal in the everyday range,
+/// exponent form outside it, `null` for NaN and the infinities.
+pub(crate) fn json_f64(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v == v.trunc() && v.abs() < 1e15 {
         format!("{v:.1}")
+    } else if (1e-4..1e15).contains(&v.abs()) {
+        format!("{v}")
     } else {
         format!("{v:e}")
     }
+}
+
+pub(crate) fn json_opt(v: Option<u64>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
+/// The evaluated gates as one JSON array.
+pub(crate) fn gates_json(gates: &[GateResult]) -> String {
+    let items: Vec<String> = gates
+        .iter()
+        .map(|g| {
+            format!(
+                "{{\"gate\": \"{}\", \"threshold\": {}, \"actual\": {}, \"pass\": {}}}",
+                g.gate,
+                json_f64(g.threshold),
+                g.actual.map_or_else(|| "null".to_string(), json_f64),
+                g.pass,
+            )
+        })
+        .collect();
+    format!("[{}]", items.join(", "))
 }
 
 impl SoakReport {
@@ -300,20 +327,7 @@ impl SoakReport {
             t.quarantined,
             t.transient_retries,
         ));
-        s.push_str("  \"slo\": [");
-        for (i, g) in self.gates.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"gate\": \"{}\", \"threshold\": {}, \"actual\": {}, \"pass\": {}}}",
-                g.gate,
-                json_f64(g.threshold),
-                g.actual.map_or_else(|| "null".to_string(), json_f64),
-                g.pass,
-            ));
-        }
-        s.push_str("],\n");
+        s.push_str(&format!("  \"slo\": {},\n", gates_json(&self.gates)));
         s.push_str(&format!(
             "  \"data\": {{\"unaccounted_loss\": {}, \"value_mismatches\": {}, \"quarantined\": {}, \"zero_data_loss\": {}}},\n",
             self.unaccounted_loss,
@@ -324,8 +338,7 @@ impl SoakReport {
         s.push_str(&format!(
             "  \"timing\": {{\"wall_s\": {:.3}, \"read_p99_us\": {}, \"resident_high_water\": {}, \"spans_dropped\": {}}},\n",
             self.wall.as_secs_f64(),
-            self.read_p99_us
-                .map_or_else(|| "null".to_string(), |v| v.to_string()),
+            json_opt(self.read_p99_us),
             self.resident_high_water,
             self.spans_dropped,
         ));

@@ -120,8 +120,8 @@ fn thread_idx() -> u32 {
 /// Ids are a pure function of a session seed and a per-process request
 /// counter ([`trace_ids`]) — no clocks, no ambient entropy — so a
 /// seeded run produces the same id sequence on every repeat and at any
-/// thread count, which is what the trace-determinism tests and
-/// BENCH_obs.json hold the stack to.
+/// thread count, which is what the trace-determinism tests hold the
+/// stack to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Request-scoped correlation id shared by every process that
