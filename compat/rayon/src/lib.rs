@@ -226,6 +226,39 @@ mod tests {
     }
 
     #[test]
+    fn tiny_regions_run_inline_and_larger_ones_recruit_a_crew() {
+        let caller = std::thread::current().id();
+        let on_thread = |items: usize| -> Vec<std::thread::ThreadId> {
+            pool(4).install(|| {
+                (0..items)
+                    .into_par_iter()
+                    .map(|_| std::thread::current().id())
+                    .collect()
+            })
+        };
+        assert!(on_thread(0).is_empty());
+        let mut buf: [u8; 0] = [];
+        pool(4).install(|| buf.par_chunks_mut(8).for_each(|_| unreachable!()));
+
+        assert_eq!(on_thread(1), vec![caller], "one-item region must stay on the caller");
+        let mut one = [0u8; 8];
+        pool(4).install(|| {
+            one.par_chunks_mut(8)
+                .for_each(|c| c[0] = u8::from(std::thread::current().id() == caller));
+        });
+        assert_eq!(one[0], 1);
+
+        for items in [2usize, 4, 64] {
+            let ids = on_thread(items);
+            assert_eq!(ids.len(), items);
+            assert!(
+                ids.iter().all(|&id| id != caller),
+                "{items}-item region must run on a crew, not the caller"
+            );
+        }
+    }
+
+    #[test]
     fn install_override_nests_and_restores() {
         let outer = pool(3);
         let inner = pool(5);

@@ -26,17 +26,23 @@
 //!    instead of oversubscribing);
 //! 2. an enclosing [`ThreadPool::install`](crate::ThreadPool::install) →
 //!    that pool's configured count;
-//! 3. the `RAYON_NUM_THREADS` environment variable (≥ 1);
-//! 4. `std::thread::available_parallelism()`.
+//! 3. the `RAYON_NUM_THREADS` environment variable (≥ 1), read per
+//!    region (~80 ns);
+//! 4. `std::thread::available_parallelism()`, resolved once per process
+//!    and cached — on Linux that call re-reads the cgroup CPU quota
+//!    files every time (15–22 µs), which cost more than decoding a
+//!    whole (dd|dd) block. Real rayon fixes the count when it builds its
+//!    pool, too.
 //!
-//! A resolved count of 1 skips thread machinery entirely and runs the
-//! region inline on the caller — the exact sequential path the pre-PR
-//! stub always took.
+//! Empty and one-item regions run inline on the caller before any of
+//! that is resolved, and a resolved count of 1 likewise skips thread
+//! machinery entirely: no queues, no slots, no spawns. eri-store decodes
+//! one block per container, so most read-path regions take this path.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Set while this thread is a crew worker: nested regions degrade to
@@ -79,7 +85,15 @@ pub fn current_num_threads() -> usize {
     if let Some(n) = env_num_threads() {
         return n;
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    machine_num_threads()
+}
+
+/// `available_parallelism()`, resolved on first use and cached for the
+/// life of the process.
+fn machine_num_threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// `RAYON_NUM_THREADS` when set to a positive integer.
@@ -104,7 +118,11 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let threads = current_num_threads().min(n.max(1));
+    if n <= 1 {
+        // Nothing to share out: run inline before resolving a crew size.
+        return items.into_iter().map(f).collect();
+    }
+    let threads = current_num_threads().min(n);
     if threads <= 1 {
         // Sequential path: no queues, no slots, no spawns.
         return items.into_iter().map(f).collect();

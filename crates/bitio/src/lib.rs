@@ -12,6 +12,13 @@
 //! most-significant-bit first, so a field value `0b101` written with width 3
 //! appears in the stream as the bit sequence `1, 0, 1`.
 //!
+//! The reader works a word at a time: [`BitReader::peek`] is one unaligned
+//! 8-byte big-endian load shifted into place, giving at least
+//! [`PEEK_BITS`] bits MSB-aligned, and [`BitReader::consume`] advances
+//! past however many of them a decoder used. `read_bits` is a single peek
+//! for widths up to 56, so prefix decoders can take several symbols from
+//! one load. Only the last 8 bytes of a buffer are assembled byte by byte.
+//!
 //! Signed fields use two's-complement truncated to the field width; the
 //! reader sign-extends. Widths of 0 are legal no-ops for unsigned fields and
 //! write/read nothing.
@@ -36,7 +43,7 @@
 mod reader;
 mod writer;
 
-pub use reader::{BitReader, ReadError};
+pub use reader::{BitReader, ReadError, PEEK_BITS};
 pub use writer::BitWriter;
 
 /// Number of bits needed to represent `v` distinct values (`ceil(log2(v))`),

@@ -1,5 +1,9 @@
 use std::fmt;
 
+/// Stream bits a [`BitReader::peek`] window is guaranteed to hold while
+/// that many remain: an 8-byte load shifted by at most 7.
+pub const PEEK_BITS: u32 = 57;
+
 /// Error returned when a read runs past the end of the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadError {
@@ -55,6 +59,52 @@ impl<'a> BitReader<'a> {
         self.bit_len() - self.pos
     }
 
+    /// The next bits of the stream, MSB-aligned: bit 63 of the result is
+    /// the bit at [`bit_pos`](Self::bit_pos). The top
+    /// `min(PEEK_BITS, remaining())` bits are stream bits; everything below
+    /// them is zero. Does not advance.
+    ///
+    /// One unaligned 8-byte big-endian load shifted by `bit_pos % 8`;
+    /// within the last 8 bytes of the buffer the word is assembled byte by
+    /// byte instead.
+    #[inline]
+    #[must_use]
+    pub fn peek(&self) -> u64 {
+        let byte = (self.pos / 8) as usize;
+        let shift = (self.pos % 8) as u32;
+        match self.bytes.get(byte..byte + 8) {
+            Some(word) => {
+                let word: [u8; 8] = word.try_into().expect("8-byte window");
+                u64::from_be_bytes(word) << shift
+            }
+            None => self.peek_tail(byte) << shift,
+        }
+    }
+
+    /// The fewer than 8 bytes from `byte` to the end, MSB-aligned and
+    /// zero-filled.
+    fn peek_tail(&self, byte: usize) -> u64 {
+        let tail = self.bytes.get(byte..).unwrap_or_default();
+        tail.iter()
+            .enumerate()
+            .fold(0, |word, (i, &b)| word | (u64::from(b) << (56 - 8 * i)))
+    }
+
+    /// Advances past `n` bits, typically ones already inspected with
+    /// [`peek`](Self::peek). Fails, without moving, when fewer than `n`
+    /// bits remain.
+    #[inline]
+    pub fn consume(&mut self, n: u32) -> Result<(), ReadError> {
+        if self.remaining() < u64::from(n) {
+            return Err(ReadError {
+                at_bit: self.pos,
+                wanted: n,
+            });
+        }
+        self.pos += u64::from(n);
+        Ok(())
+    }
+
     /// Reads one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, ReadError> {
@@ -71,6 +121,9 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads an unsigned field of `width` bits (MSB first). `width` ≤ 64.
+    ///
+    /// Widths up to 56 take a single [`peek`](Self::peek); wider fields
+    /// take two. On overrun nothing is consumed.
     #[inline]
     pub fn read_bits(&mut self, width: u32) -> Result<u64, ReadError> {
         debug_assert!(width <= 64);
@@ -83,21 +136,17 @@ impl<'a> BitReader<'a> {
                 wanted: width,
             });
         }
-        let mut out: u64 = 0;
-        let mut left = width;
-        while left > 0 {
-            let byte_idx = (self.pos / 8) as usize;
-            let bit_in_byte = (self.pos % 8) as u32;
-            let avail = 8 - bit_in_byte;
-            let take = avail.min(left);
-            let byte = u64::from(self.bytes[byte_idx]);
-            // Extract `take` bits starting at `bit_in_byte` (from MSB).
-            let chunk = (byte >> (avail - take)) & ((1u64 << take) - 1);
-            out = if take == 64 { chunk } else { (out << take) | chunk };
-            self.pos += u64::from(take);
-            left -= take;
+        if width <= 56 {
+            let v = self.peek() >> (64 - width);
+            self.pos += u64::from(width);
+            return Ok(v);
         }
-        Ok(out)
+        let hi = self.peek() >> 32;
+        self.pos += 32;
+        let lo_width = width - 32;
+        let lo = self.peek() >> (64 - lo_width);
+        self.pos += u64::from(lo_width);
+        Ok((hi << lo_width) | lo)
     }
 
     /// Reads a two's-complement signed field of `width` bits and
@@ -176,6 +225,98 @@ mod tests {
         assert_eq!(r.bit_pos(), 8);
         assert_eq!(r.read_bits(8).unwrap(), 0xcd);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// Bit `i` of `bytes`, MSB-first: the reference every fast path is
+    /// checked against.
+    fn ref_bit(bytes: &[u8], i: u64) -> bool {
+        (bytes[(i / 8) as usize] >> (7 - i % 8)) & 1 == 1
+    }
+
+    fn ref_bits(bytes: &[u8], at: u64, width: u32) -> u64 {
+        (0..u64::from(width)).fold(0, |v, k| (v << 1) | u64::from(ref_bit(bytes, at + k)))
+    }
+
+    /// Every start offset in the first 64 bits and in the last 16 bytes
+    /// (the byte-wise tail path), every width 0..=64, against the
+    /// bit-by-bit reference — including `at_bit`/`wanted` on overrun.
+    #[test]
+    fn word_reader_matches_bit_by_bit_reference() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in (0..=24).chain([40, 41]) {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 56) as u8
+                })
+                .collect();
+            let bit_len = len as u64 * 8;
+            let starts = (0..=63u64).chain(bit_len.saturating_sub(128)..=bit_len);
+            for start in starts.filter(|&s| s <= bit_len) {
+                let mut at = BitReader::new(&bytes);
+                at.consume(start as u32).unwrap();
+                let remaining = bit_len - start;
+
+                let window = at.peek();
+                for k in 0..64u64 {
+                    let got = (window >> (63 - k)) & 1 == 1;
+                    if k >= remaining {
+                        assert!(!got, "len {len} start {start}: bit {k} past the end is set");
+                    } else if k < u64::from(PEEK_BITS) {
+                        assert_eq!(
+                            got,
+                            ref_bit(&bytes, start + k),
+                            "len {len} start {start} bit {k}"
+                        );
+                    }
+                }
+
+                for width in 0..=64u32 {
+                    let fits = u64::from(width) <= remaining;
+                    let overrun = ReadError {
+                        at_bit: start,
+                        wanted: width,
+                    };
+
+                    let mut r = at.clone();
+                    match r.read_bits(width) {
+                        Ok(v) => {
+                            assert!(fits);
+                            assert_eq!(
+                                v,
+                                ref_bits(&bytes, start, width),
+                                "len {len} start {start} width {width}"
+                            );
+                            assert_eq!(r.bit_pos(), start + u64::from(width));
+                        }
+                        Err(e) => {
+                            assert!(!fits && width > 0, "len {len} start {start} width {width}");
+                            assert_eq!(e, overrun);
+                            assert_eq!(r.bit_pos(), start);
+                        }
+                    }
+
+                    let mut r = at.clone();
+                    match r.consume(width) {
+                        Ok(()) => assert!(fits && r.bit_pos() == start + u64::from(width)),
+                        Err(e) => assert!(!fits && e == overrun && r.bit_pos() == start),
+                    }
+
+                    if width == 0 {
+                        continue;
+                    }
+                    let mut r = at.clone();
+                    match r.read_signed(width) {
+                        Ok(v) => {
+                            let raw = ref_bits(&bytes, start, width);
+                            let expect = ((raw << (64 - width)) as i64) >> (64 - width);
+                            assert_eq!(v, expect, "len {len} start {start} width {width}");
+                        }
+                        Err(e) => assert!(!fits && e == overrun),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -288,7 +288,10 @@ fn block_type_index(t: u8) -> usize {
 
 /// Decompresses one block from `r` into `out`.
 ///
-/// `out.len()` must equal `geom.block_size()`.
+/// `out.len()` must equal `geom.block_size()`. Decoding works in `out`
+/// itself — prediction first, then each ECQ value added in place — so a
+/// block costs no heap allocation. On error `out` holds unspecified
+/// values.
 pub fn decompress_block(
     r: &mut BitReader<'_>,
     geom: &BlockGeometry,
@@ -324,21 +327,22 @@ pub fn decompress_block(
     if !(2..=62).contains(&sb_bits) {
         return Err(DecompressError::corrupt("scale bit width out of range"));
     }
-    let mut phat = Vec::with_capacity(sbs);
-    for _ in 0..sbs {
-        phat.push(quant.dequantize(r.read_signed(pb)?));
+    // Prediction `sh · p̂` straight into `out`: the dequantized pattern
+    // waits in the last sub-block, which is scaled in place last.
+    let (head, phat) = out.split_at_mut(block_size - sbs);
+    for p in phat.iter_mut() {
+        *p = quant.dequantize(r.read_signed(pb)?);
     }
     let sq_quant = ScaleQuantizer::new(sb_bits);
-    let mut shat = Vec::with_capacity(geom.num_subblocks);
-    for _ in 0..geom.num_subblocks {
-        shat.push(sq_quant.dequantize(r.read_signed(sq_quant.bits())?));
-    }
-
-    // Prediction from pattern & scales.
-    for (j, sh) in shat.iter().enumerate() {
-        for i in 0..sbs {
-            out[j * sbs + i] = sh * phat[i];
+    for sub in head.chunks_exact_mut(sbs) {
+        let sh = sq_quant.dequantize(r.read_signed(sq_quant.bits())?);
+        for (o, p) in sub.iter_mut().zip(phat.iter()) {
+            *o = sh * p;
         }
+    }
+    let sh = sq_quant.dequantize(r.read_signed(sq_quant.bits())?);
+    for p in phat.iter_mut() {
+        *p *= sh;
     }
 
     match kind {
@@ -348,11 +352,7 @@ pub fn decompress_block(
             if !(1..=62).contains(&ecb_max) {
                 return Err(DecompressError::corrupt("EC bit width out of range"));
             }
-            let mut ecq = Vec::with_capacity(block_size);
-            tree.decode_stream(block_size, ecb_max, r, &mut ecq)?;
-            for (o, q) in out.iter_mut().zip(ecq) {
-                *o += quant.dequantize(q);
-            }
+            tree.decode_each(ecb_max, r, out, |o, q| *o += quant.dequantize(q))?;
         }
         BlockKind::Sparse => {
             let ecb_max = r.read_bits(6)? as u32;

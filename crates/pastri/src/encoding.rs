@@ -11,7 +11,7 @@
 //! All trees encode one `i64` ECQ value per symbol. "Others" leaves carry
 //! the value verbatim in `EC_{b,max}` signed bits.
 
-use bitio::{BitReader, BitWriter};
+use bitio::{BitReader, BitWriter, PEEK_BITS};
 
 use crate::error::DecompressError;
 use crate::quant::ecq_bits;
@@ -208,7 +208,7 @@ impl EncodingTree {
         }
     }
 
-    /// Decodes `n` ECQ values into `out`.
+    /// Decodes `n` ECQ values, appending them to `out`.
     pub fn decode_stream(
         &self,
         n: usize,
@@ -216,60 +216,77 @@ impl EncodingTree {
         r: &mut BitReader<'_>,
         out: &mut Vec<i64>,
     ) -> Result<(), DecompressError> {
-        out.reserve(n);
+        let start = out.len();
+        out.resize(start + n, 0);
+        self.decode_each(ecb_max, r, &mut out[start..], |slot, q| *slot = q)
+    }
+
+    /// Decodes `out.len()` ECQ values, handing each to `apply` together
+    /// with its slot of `out` — the block decoder adds the dequantized
+    /// value into its output in place, with no intermediate stream.
+    ///
+    /// Tree 3 and the Tree 5 three-symbol code decode from a
+    /// [`BitReader::peek`] window: each symbol is one lookup of
+    /// `(value, bits consumed)` on the window's top bits, and one peek
+    /// serves every symbol that fits in it. A symbol the window cannot
+    /// hold (a Tree 3 escape wider than what is left of it, or the end of
+    /// the stream) is read one field at a time, so truncation fails
+    /// exactly where a bit-by-bit decoder would. The other trees read
+    /// field by field.
+    pub(crate) fn decode_each<T>(
+        &self,
+        ecb_max: u32,
+        r: &mut BitReader<'_>,
+        out: &mut [T],
+        mut apply: impl FnMut(&mut T, i64),
+    ) -> Result<(), DecompressError> {
         match self.resolve(ecb_max) {
             Resolved::Tri => {
-                for _ in 0..n {
-                    let v = if !r.read_bit()? {
-                        0
-                    } else if !r.read_bit()? {
-                        1
-                    } else {
-                        -1
-                    };
-                    out.push(v);
-                }
-            }
-            Resolved::Tree1 => {
-                for _ in 0..n {
-                    let v = if !r.read_bit()? {
-                        0
-                    } else {
-                        r.read_signed(ecb_max)?
-                    };
-                    out.push(v);
-                }
-            }
-            Resolved::Tree2 => {
-                for _ in 0..n {
-                    let v = if !r.read_bit()? {
-                        0
-                    } else if !r.read_bit()? {
-                        1
-                    } else if !r.read_bit()? {
-                        -1
-                    } else {
-                        r.read_signed(ecb_max)?
-                    };
-                    out.push(v);
-                }
+                let lookup = |window: u64, _| {
+                    let (v, len) = TRI[(window >> 62) as usize];
+                    Some((v, u32::from(len)))
+                };
+                decode_windowed(r, out, &mut apply, 2, lookup, read_tri)
             }
             Resolved::Tree3 => {
-                for _ in 0..n {
+                let lookup = |window: u64, avail| match TREE3[(window >> 61) as usize] {
+                    (_, ESCAPE) => {
+                        let len = 2 + ecb_max;
+                        // Arithmetic shift sign-extends the payload field.
+                        (len <= avail).then(|| (((window << 2) as i64) >> (64 - ecb_max), len))
+                    }
+                    (v, len) => Some((v, u32::from(len))),
+                };
+                decode_windowed(r, out, &mut apply, 3, lookup, |r| read_tree3(r, ecb_max))
+            }
+            Resolved::Tree1 => {
+                for slot in out {
+                    let v = if !r.read_bit()? {
+                        0
+                    } else {
+                        r.read_signed(ecb_max)?
+                    };
+                    apply(slot, v);
+                }
+                Ok(())
+            }
+            Resolved::Tree2 => {
+                for slot in out {
                     let v = if !r.read_bit()? {
                         0
                     } else if !r.read_bit()? {
-                        r.read_signed(ecb_max)?
-                    } else if !r.read_bit()? {
                         1
-                    } else {
+                    } else if !r.read_bit()? {
                         -1
+                    } else {
+                        r.read_signed(ecb_max)?
                     };
-                    out.push(v);
+                    apply(slot, v);
                 }
+                Ok(())
             }
             Resolved::Tree4 => {
-                for _ in 0..n {
+                for slot in out {
                     let mut bits = 1u32;
                     while r.read_bit()? {
                         bits += 1;
@@ -278,7 +295,7 @@ impl EncodingTree {
                         }
                     }
                     if bits == 1 {
-                        out.push(0);
+                        apply(slot, 0);
                         continue;
                     }
                     let neg = r.read_bit()?;
@@ -287,16 +304,17 @@ impl EncodingTree {
                     } else {
                         1
                     };
-                    out.push(if neg { -(mag as i64) } else { mag as i64 });
+                    apply(slot, if neg { -(mag as i64) } else { mag as i64 });
                 }
+                Ok(())
             }
             Resolved::Fixed => {
-                for _ in 0..n {
-                    out.push(r.read_signed(ecb_max)?);
+                for slot in out {
+                    apply(slot, r.read_signed(ecb_max)?);
                 }
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Tree 5's adaptivity: resolve to the concrete coder for this block.
@@ -316,6 +334,90 @@ impl EncodingTree {
             EncodingTree::FixedLength => Resolved::Fixed,
         }
     }
+}
+
+/// Tree 5's three-symbol code on the top 2 bits of a window:
+/// `(value, bits consumed)`. `0 → 0`, `10 → 1`, `11 → −1`.
+const TRI: [(i64, u8); 4] = [(0, 1), (0, 1), (1, 2), (-1, 2)];
+
+/// Marks Tree 3's `10` + payload leaf in [`TREE3`].
+const ESCAPE: u8 = 0;
+
+/// Tree 3 on the top 3 bits of a window: `(value, bits consumed)`.
+/// `0 → 0`, `10 → escape`, `110 → 1`, `111 → −1`.
+const TREE3: [(i64, u8); 8] = [
+    (0, 1),
+    (0, 1),
+    (0, 1),
+    (0, 1),
+    (0, ESCAPE),
+    (0, ESCAPE),
+    (1, 3),
+    (-1, 3),
+];
+
+/// One Tree 5 three-symbol code, read bit by bit.
+fn read_tri(r: &mut BitReader<'_>) -> Result<i64, DecompressError> {
+    Ok(if !r.read_bit()? {
+        0
+    } else if !r.read_bit()? {
+        1
+    } else {
+        -1
+    })
+}
+
+/// One Tree 3 symbol, read field by field.
+fn read_tree3(r: &mut BitReader<'_>, ecb_max: u32) -> Result<i64, DecompressError> {
+    Ok(if !r.read_bit()? {
+        0
+    } else if !r.read_bit()? {
+        r.read_signed(ecb_max)?
+    } else if !r.read_bit()? {
+        1
+    } else {
+        -1
+    })
+}
+
+/// The peek-window loop shared by the table-driven decoders.
+///
+/// `lookup(window, avail)` decodes the symbol at the top of `window`
+/// (`avail` stream bits valid) as `(value, bits consumed)`, or `None` if
+/// it needs more than `avail` bits; it is only called with at least
+/// `max_prefix` bits available. When a fresh window cannot decode the
+/// next symbol, `slow` reads it from the stream directly.
+#[inline(always)]
+fn decode_windowed<T>(
+    r: &mut BitReader<'_>,
+    out: &mut [T],
+    apply: &mut impl FnMut(&mut T, i64),
+    max_prefix: u32,
+    lookup: impl Fn(u64, u32) -> Option<(i64, u32)>,
+    slow: impl Fn(&mut BitReader<'_>) -> Result<i64, DecompressError>,
+) -> Result<(), DecompressError> {
+    let mut k = 0;
+    while k < out.len() {
+        let avail = r.remaining().min(u64::from(PEEK_BITS)) as u32;
+        let mut window = r.peek();
+        let mut used = 0u32;
+        while k < out.len() && used + max_prefix <= avail {
+            let Some((v, len)) = lookup(window, avail - used) else {
+                break;
+            };
+            apply(&mut out[k], v);
+            window <<= len;
+            used += len;
+            k += 1;
+        }
+        if used > 0 {
+            r.consume(used)?;
+        } else if k < out.len() {
+            apply(&mut out[k], slow(r)?);
+            k += 1;
+        }
+    }
+    Ok(())
 }
 
 /// Concrete per-block coder after Tree 5 adaptivity is resolved.
